@@ -2,8 +2,8 @@
 
 Reports are JSON by default (``--format text`` flattens them to aligned
 ``path = value`` lines).  Output is deterministic: keys are sorted, no
-timestamps are embedded, and the computed content never depends on the
-thread count, so identical inputs and flags give byte-identical bytes.
+timestamps are embedded, so identical inputs and flags give
+byte-identical bytes.
 
 Exit codes: 0 on success (including verification runs that *report*
 failures), 1 for usage or input problems, 2 when an internal consistency
@@ -114,7 +114,7 @@ def _cmd_analyze(args):
 def _cmd_hochster(args):
     complex = _load_complex(args.input)
     parse_coefficients(args.coeffs)
-    summands = hochster_decomposition(complex, args.coeffs, threads=args.threads)
+    summands = hochster_decomposition(complex, args.coeffs)
     series = series_from_decomposition(summands)
     body = {
         "coeffs": args.coeffs,
@@ -152,7 +152,7 @@ def _cmd_golod(args):
 
 def _cmd_theorem(args):
     complex = _load_complex(args.input)
-    verdict = splitting_verdict(complex, threads=args.threads)
+    verdict = splitting_verdict(complex)
     return _report("theorem", {"input": args.input}, {"verdict": verdict.as_dict()})
 
 
@@ -261,7 +261,6 @@ def build_parser():
     )
     p.add_argument("input", help="complex JSON file")
     p.add_argument("--coeffs", default="Z", help="Z, Q or Fp (default Z)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(handler=_cmd_hochster)
 
     p = sub.add_parser(
@@ -283,7 +282,6 @@ def build_parser():
         help="wedge-splitting decision: CoH, NotCoH with witness, or Inconclusive",
     )
     p.add_argument("input", help="complex JSON file")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(handler=_cmd_theorem)
 
     p = sub.add_parser("cluster", parents=[], help="cluster geometry verification")

@@ -536,6 +536,35 @@ def damped_coordinate(z, i, x_i):
 # tagging evaluators
 
 
+def _damped_point(complex, beta, z, payload, leaves, t=_ONE):
+    """The point at height ``2β - 1`` over anchor ``z``, payload damped.
+
+    The payload moves along the straight line from itself (time 0) to its
+    full damping against ``z`` (time 1).  Raises
+    :class:`MembershipViolation`, its message led by ``leaves``, when the
+    moved payload leaves the blocked smash.
+    """
+    moved = tuple(
+        (_ONE - t) * x + t * ((_ONE + x) * f - _ONE)
+        for x, f in zip(payload, _damping_factors(z))
+    )
+    point = PartitionedSmashPoint(2 * beta - 1, z, moved)
+    if point.is_basepoint:
+        return point
+    obstruction = _blocked_obstruction(complex, z, moved)
+    if obstruction is None:
+        return point
+    block, seen = obstruction
+    raise MembershipViolation(
+        f"{leaves}: support {sorted(mask_vertices(seen))} meets level block "
+        f"{sorted(mask_vertices(block))} in a non-face",
+        failed_block=block,
+        support=seen,
+        anchor=z,
+        payload=moved,
+    )
+
+
 def tagging_map(complex, omega):
     """Trade the suspension parameters for an anchor of the blocked smash.
 
@@ -581,27 +610,8 @@ def factor_tagging_map(complex, low_mask, high_mask, omega, tol=DEFAULT_TOLERANC
     if beta == 0:
         return PartitionedSmashPoint.basepoint()
     pulled = radial_gauge_inverse(low_mask, high_mask, omega.params, tol)
-    z = anchored(pulled)
-    factors = _damping_factors(z)
-    damped = tuple(
-        (_ONE + x) * f - _ONE for x, f in zip(omega.payload, factors)
-    )
-    point = PartitionedSmashPoint(2 * beta - 1, z, damped)
-    if point.is_basepoint:
-        return point
-    obstruction = _blocked_obstruction(complex, z, damped)
-    if obstruction is not None:
-        block, seen = obstruction
-        raise MembershipViolation(
-            f"damped payload leaves the blocked smash: support "
-            f"{sorted(mask_vertices(seen))} meets level block "
-            f"{sorted(mask_vertices(block))} in a non-face",
-            failed_block=block,
-            support=seen,
-            anchor=z,
-            payload=damped,
-        )
-    return point
+    return _damped_point(complex, beta, anchored(pulled), omega.payload,
+                         "damped payload leaves the blocked smash")
 
 
 def pinch_map(y, tol=DEFAULT_TOLERANCE):
@@ -659,28 +669,8 @@ def tagging_homotopy(complex, omega, t):
     beta = _height_parameter(omega.params)
     if beta == 0:
         return PartitionedSmashPoint.basepoint()
-    z = anchored(omega.params)
-    factors = _damping_factors(z)
-    moved = tuple(
-        (_ONE - t) * x + t * ((_ONE + x) * f - _ONE)
-        for x, f in zip(omega.payload, factors)
-    )
-    point = PartitionedSmashPoint(2 * beta - 1, z, moved)
-    if point.is_basepoint:
-        return point
-    obstruction = _blocked_obstruction(complex, z, moved)
-    if obstruction is not None:
-        block, seen = obstruction
-        raise MembershipViolation(
-            f"homotopy leaves the blocked smash at time {t}: support "
-            f"{sorted(mask_vertices(seen))} meets level block "
-            f"{sorted(mask_vertices(block))} in a non-face",
-            failed_block=block,
-            support=seen,
-            anchor=z,
-            payload=moved,
-        )
-    return point
+    return _damped_point(complex, beta, anchored(omega.params), omega.payload,
+                         f"homotopy leaves the blocked smash at time {t}", t)
 
 
 def pinched_composite(complex, omega, tol=DEFAULT_TOLERANCE):
@@ -705,24 +695,5 @@ def pinched_composite(complex, omega, tol=DEFAULT_TOLERANCE):
         return PartitionedSmashPoint.basepoint()
     (low, high), gauged = routed
     pulled = radial_gauge_inverse(low, high, gauged, tol)
-    z = anchored(pulled)
-    factors = _damping_factors(z)
-    damped = tuple(
-        (_ONE + x) * f - _ONE for x, f in zip(omega.payload, factors)
-    )
-    point = PartitionedSmashPoint(2 * beta - 1, z, damped)
-    if point.is_basepoint:
-        return point
-    obstruction = _blocked_obstruction(complex, z, damped)
-    if obstruction is not None:
-        block, seen = obstruction
-        raise MembershipViolation(
-            f"pinched composite leaves the blocked smash: support "
-            f"{sorted(mask_vertices(seen))} meets level block "
-            f"{sorted(mask_vertices(block))} in a non-face",
-            failed_block=block,
-            support=seen,
-            anchor=z,
-            payload=damped,
-        )
-    return point
+    return _damped_point(complex, beta, anchored(pulled), omega.payload,
+                         "pinched composite leaves the blocked smash")

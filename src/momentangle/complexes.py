@@ -268,10 +268,12 @@ class SimplicialComplex:
             facets = data["facets"]
         except (TypeError, KeyError) as exc:
             raise ValueError("complex data needs 'n' and 'facets' keys") from exc
-        if not isinstance(n, int):
+        # JSON true/false load as bool, which is an int subclass.
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError("'n' must be an integer")
         if not isinstance(facets, list) or any(
-                not isinstance(f, list) or any(not isinstance(v, int) for v in f)
+                not isinstance(f, list)
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in f)
                 for f in facets):
             raise ValueError("'facets' must be a list of integer lists")
         return cls.from_vertex_lists(n, facets)

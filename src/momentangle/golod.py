@@ -292,7 +292,7 @@ def cup_products_vanish(complex, coeffs=DEFAULT_BATTERY):
     return not witnesses, witnesses
 
 
-def splitting_verdict(complex, threads=1):
+def splitting_verdict(complex):
     """Decision procedure: wedge splitting, a refuting pair, or neither.
 
     NotCoH is returned on the first pair (in canonical order) whose
@@ -316,8 +316,7 @@ def splitting_verdict(complex, threads=1):
         if certificate.verdict == "Unknown":
             unknown.append((subset_i, subset_j))
     if hypothesis and not unknown:
-        return TheoremVerdict(True, "CoH",
-                              wedge=wedge_model(complex, "Z", threads))
+        return TheoremVerdict(True, "CoH", wedge=wedge_model(complex, "Z"))
     return TheoremVerdict(hypothesis, "Inconclusive", unknown_pairs=unknown)
 
 

@@ -16,18 +16,16 @@ special cases: both fall out of the reduced chain complex.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
-from momentangle.complexes import SimplicialComplex, mask_vertices, vertex_mask
+from momentangle.complexes import mask_vertices, vertex_mask
 from momentangle.homology import (
-    ChainComplex,
-    HomologyGroup,
     homology_degree_window,
     parse_coefficients,
     reduced_cohomology,
 )
-from momentangle.linalg import rank_mod_p, smith_normal_form
+# Unused here, but the benchmark's tracer wraps these two module attributes.
+from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
 MAX_DECOMPOSITION_VERTICES = 20
 
@@ -116,94 +114,39 @@ class HochsterSummand:
         return f"HochsterSummand(I={list(self.vertices)}, {degs})"
 
 
-def _subset_cohomology(sub, coeffs):
-    """Reduced cohomology of one restriction, windowed by neighbourliness.
-
-    A complex containing the full (m-1)-skeleton on its s-vertex support
-    shares the simplex's chain groups through degree m-1, so homology
-    below degree m-1 vanishes and the bottom boundary matrix is the full
-    simplex boundary, whose rank is C(s-1, m-1) over every coefficient
-    ring with free cokernel.  That known rank replaces the one large
-    Smith form in the otherwise-sparse window.
-    """
-    kind, p = parse_coefficients(coeffs)
-    lo, hi = homology_degree_window(sub)
-    chain = ChainComplex(sub, (lo, hi))
-    s = sub.support.bit_count()
-    m = sub.support_neighbourliness
-    ranks = {}
-    torsion = {}
-    for d in range(lo, hi + 2):
-        if (d == lo and lo == m - 1 and lo >= 0
-                and len(chain.faces(d)) == math.comb(s, m)
-                and len(chain.faces(d - 1)) == math.comb(s, m - 1)):
-            ranks[d] = math.comb(s - 1, m - 1)
-            torsion[d] = ()
-            continue
-        matrix = chain.boundary_matrix(d)
-        if kind == "F":
-            ranks[d] = rank_mod_p(matrix, p)
-        else:
-            form = smith_normal_form(matrix)
-            ranks[d] = form.rank
-            torsion[d] = form.torsion
-    out = {}
-    for d in range(lo, hi + 1):
-        rank = len(chain.faces(d)) - ranks[d] - ranks[d + 1]
-        tor = torsion[d] if kind == "Z" else ()
-        group = HomologyGroup(rank, tor)
-        if not group.is_zero:
-            out[d] = group
-    return out
-
-
-def _summand(args):
-    complex, coeffs, mask = args
-    sub = complex.restriction(mask)
-    if sub.is_cone:
-        return None
-    groups = _subset_cohomology(sub, coeffs)
-    if not groups:
-        return None
-    size = mask.bit_count()
-    shifted = [(d + size + 1, g) for d, g in sorted(groups.items())]
-    return HochsterSummand(mask, shifted)
-
-
-def hochster_decomposition(complex, coeffs="Z", threads=1):
+def hochster_decomposition(complex, coeffs="Z"):
     """All subsets' shifted cohomology contributions, sorted by mask.
 
     One HochsterSummand per I ⊆ [n] with a nontrivial group; restrictions
-    that are cones are skipped outright.  The subset computations are
-    independent, so they distribute over a thread pool; the output order
-    is fixed by the subset masks regardless of thread count.
+    that are cones are skipped outright, and each other restriction's
+    cohomology is computed only in its ``homology_degree_window``.
     """
     parse_coefficients(coeffs)
     n = complex.n
     if n > MAX_DECOMPOSITION_VERTICES:
         raise ValueError(f"decomposition over 2^{n} subsets refused "
                          f"(limit {MAX_DECOMPOSITION_VERTICES} vertices)")
-    jobs = [(complex, coeffs, bits << 1) for bits in range(1 << n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_summand, jobs))
-    else:
-        results = [_summand(job) for job in jobs]
-    return [s for s in results if s is not None]
+    summands = []
+    for bits in range(1 << n):
+        mask = bits << 1
+        sub = complex.restriction(mask)
+        if sub.is_cone:
+            continue
+        groups = reduced_cohomology(sub, coeffs, homology_degree_window(sub))
+        shift = mask.bit_count() + 1
+        shifted = [(d + shift, g) for d, g in groups.items() if not g.is_zero]
+        if shifted:
+            summands.append(HochsterSummand(mask, shifted))
+    return summands
 
 
-def poincare_series(complex, field, threads=1):
+def poincare_series(complex, field):
     """Degreewise ranks of H^*(Z_K) over a field, from the decomposition."""
     kind, _ = parse_coefficients(field)
     if kind == "Z":
         raise ValueError("poincare_series needs field coefficients; "
                          "use 'Q' or 'Fp'")
-    ranks = {}
-    for summand in hochster_decomposition(complex, field, threads):
-        for degree, group in summand.shifted_groups:
-            ranks[degree] = ranks.get(degree, 0) + group.rank
-    ranks[0] = ranks.get(0, 0)
-    return PoincareSeries(ranks)
+    return series_from_decomposition(hochster_decomposition(complex, field))
 
 
 def series_from_decomposition(summands):
@@ -267,11 +210,10 @@ class WedgeModel:
         return sorted(out)
 
     def series(self):
-        ranks = {0: 1}
-        for s in self.summands:
-            for degree, group in s.shifted_groups:
-                ranks[degree] = ranks.get(degree, 0) + group.rank
-        return PoincareSeries(ranks)
+        """Series of the wedge: the summands' ranks plus the basepoint unit."""
+        series = series_from_decomposition(self.summands)
+        series.ranks[0] = series.rank(0) + 1
+        return series
 
     def as_dict(self):
         return {"summands": [s.as_dict() for s in self.summands],
@@ -279,13 +221,13 @@ class WedgeModel:
                 "spheres": self.sphere_degrees if self.is_complete else None}
 
 
-def wedge_model(complex, coeffs="Z", threads=1):
+def wedge_model(complex, coeffs="Z"):
     """Wedge decomposition read off the Hochster summands.
 
     Filters out the unit (I = ∅); summands with torsion are kept but
     flagged, and make the model incomplete.
     """
-    summands = hochster_decomposition(complex, coeffs, threads)
+    summands = hochster_decomposition(complex, coeffs)
     return WedgeModel(WedgeSummand(s.subset_mask, s.shifted_groups)
                       for s in summands if s.subset_mask)
 

@@ -135,6 +135,44 @@ class ChainComplex:
                    for d in range(self.lo, self.hi + 1))
 
 
+def _reduced_groups(complex, coeffs, degree_range, cohomology):
+    """Groups in degrees lo..hi from the ranks of ∂_lo .. ∂_{hi+1}.
+
+    Integral torsion of H̃_d is that of coker ∂_{d+1}; the coboundary out
+    of degree d is the transpose of ∂_{d+1}, so torsion of H̃^d is that of
+    coker ∂_d (transposition preserves rank and invariant factors).
+
+    A complex containing the full (m-1)-skeleton on its s-vertex support
+    shares the simplex's chain groups through degree m-1, so when the
+    range starts there the bottom boundary matrix is the full simplex
+    boundary, whose rank is C(s-1, m-1) over every coefficient ring with
+    free cokernel.  That known rank replaces the one large matrix in the
+    otherwise-sparse window of ``homology_degree_window``.
+    """
+    kind, p = parse_coefficients(coeffs)
+    lo, hi = degree_range if degree_range else (-1, complex.dim)
+    lo = max(lo, -1)
+    chain = ChainComplex(complex, (lo, hi))
+    ranks, torsion = {}, {}
+    if lo >= 0 and lo == complex.support_neighbourliness - 1:
+        ranks[lo] = math.comb(complex.support.bit_count() - 1, lo)
+        torsion[lo] = ()
+    for d in range(lo, hi + 2):
+        if d in ranks:
+            continue
+        matrix = chain.boundary_matrix(d)
+        if kind == "F":
+            ranks[d], torsion[d] = rank_mod_p(matrix, p), ()
+        else:
+            form = smith_normal_form(matrix)
+            ranks[d] = form.rank
+            torsion[d] = form.torsion if kind == "Z" else ()
+    source = 0 if cohomology else 1
+    return {d: HomologyGroup(len(chain.faces(d)) - ranks[d] - ranks[d + 1],
+                             torsion[d + source])
+            for d in range(lo, hi + 1)}
+
+
 def reduced_homology(complex, coeffs="Z", degree_range=None):
     """Reduced homology groups by degree, over the named coefficients.
 
@@ -142,48 +180,12 @@ def reduced_homology(complex, coeffs="Z", degree_range=None):
     -1..dim).  Field coefficients yield torsion-free groups whose rank
     is the vector-space dimension.
     """
-    kind, p = parse_coefficients(coeffs)
-    lo, hi = degree_range if degree_range else (-1, complex.dim)
-    lo = max(lo, -1)
-    chain = ChainComplex(complex, (lo, hi))
-    out = {}
-    if kind == "F":
-        ranks = {d: rank_mod_p(chain.boundary_matrix(d), p)
-                 for d in range(lo, hi + 2)}
-        for d in range(lo, hi + 1):
-            out[d] = HomologyGroup(len(chain.faces(d)) - ranks[d] - ranks[d + 1])
-    else:
-        forms = {d: smith_normal_form(chain.boundary_matrix(d))
-                 for d in range(lo, hi + 2)}
-        for d in range(lo, hi + 1):
-            rank = len(chain.faces(d)) - forms[d].rank - forms[d + 1].rank
-            torsion = forms[d + 1].torsion if kind == "Z" else ()
-            out[d] = HomologyGroup(rank, torsion)
-    return out
+    return _reduced_groups(complex, coeffs, degree_range, cohomology=False)
 
 
 def reduced_cohomology(complex, coeffs="Z", degree_range=None):
     """Reduced cohomology groups by degree, computed from coboundaries."""
-    kind, p = parse_coefficients(coeffs)
-    lo, hi = degree_range if degree_range else (-1, complex.dim)
-    lo = max(lo, -1)
-    chain = ChainComplex(complex, (lo, hi))
-    # The coboundary out of degree d is the transpose of the boundary
-    # into it; transposition preserves rank and invariant factors.
-    out = {}
-    if kind == "F":
-        ranks = {d: rank_mod_p(chain.boundary_matrix(d), p)
-                 for d in range(lo, hi + 2)}
-        for d in range(lo, hi + 1):
-            out[d] = HomologyGroup(len(chain.faces(d)) - ranks[d] - ranks[d + 1])
-    else:
-        forms = {d: smith_normal_form(chain.boundary_matrix(d))
-                 for d in range(lo, hi + 2)}
-        for d in range(lo, hi + 1):
-            rank = len(chain.faces(d)) - forms[d].rank - forms[d + 1].rank
-            torsion = forms[d].torsion if kind == "Z" else ()
-            out[d] = HomologyGroup(rank, torsion)
-    return out
+    return _reduced_groups(complex, coeffs, degree_range, cohomology=True)
 
 
 def homology_degree_window(complex):

@@ -328,14 +328,24 @@ def test_factor_tagging_map_on_regression_fixture():
         max(abs(w) for w in gauged)
     assert ratio == as_fraction(expected["gauge_radius"])
 
-    omega = SuspensionPoint(gauged, payload)
-    with pytest.raises(MembershipViolation) as info:
-        factor_tagging_map(complex, low, high, omega)
-    violation = info.value
-    assert violation.failed_block == vertex_mask(expected["failed_block"])
-    assert violation.support == vertex_mask(expected["support"])
-    assert violation.payload == rational_point(expected["damped"])
-    assert violation.anchor == anchored(pre_gauge)
+    # the factor map on the gauged point, and the pinched composite on the
+    # raw one (the pinch gauges it into the same region), fail alike
+    cases = [
+        ("damped payload", lambda: factor_tagging_map(
+            complex, low, high, SuspensionPoint(gauged, payload))),
+        ("pinched composite", lambda: pinched_composite(
+            complex, SuspensionPoint(pre_gauge, payload))),
+    ]
+    for subject, evaluate in cases:
+        with pytest.raises(MembershipViolation) as info:
+            evaluate()
+        violation = info.value
+        assert str(violation).startswith(
+            f"{subject} leaves the blocked smash: support ")
+        assert violation.failed_block == vertex_mask(expected["failed_block"])
+        assert violation.support == vertex_mask(expected["support"])
+        assert violation.payload == rational_point(expected["damped"])
+        assert violation.anchor == anchored(pre_gauge)
 
 
 def test_factor_tagging_map_valid_case():

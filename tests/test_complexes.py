@@ -144,12 +144,11 @@ def test_flag_from_graph():
 def test_serialization_roundtrip():
     for K in (cycle_complex(5), new_complex(3, []), single_non_face(6, 3)):
         assert SimplicialComplex.from_dict(K.to_dict()) == K
-    with pytest.raises(ValueError):
-        SimplicialComplex.from_dict({"n": 3})
-    with pytest.raises(ValueError):
-        SimplicialComplex.from_dict({"n": "3", "facets": []})
-    with pytest.raises(ValueError):
-        SimplicialComplex.from_dict({"n": 3, "facets": [["a"]]})
+    for bad in ({"n": 3}, {"n": "3", "facets": []}, {"n": 3, "facets": [["a"]]},
+                # JSON true loads as a bool, which Python counts as an int
+                {"n": True, "facets": [[1]]}, {"n": 1, "facets": [[True]]}):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_dict(bad)
 
 
 def test_vertex_bounds_enforced():

@@ -7,10 +7,13 @@ from momentangle import (
     TruncationError,
     boundary_simplex,
     cycle_complex,
+    full_mask,
     hochster_decomposition,
     koszul_oracle,
     new_complex,
     poincare_series,
+    random_complex,
+    reduced_cohomology,
     series_from_decomposition,
     shifted_join,
     simplex,
@@ -91,12 +94,24 @@ def test_decomposition_torsion_flag():
     assert series_dict(rp2, "F2") != series_dict(rp2)
 
 
-def test_threads_do_not_change_output():
-    K = random_antichain_complex(seeded(31), 6)
-    single = hochster_decomposition(K, "Z", threads=1)
-    pooled = hochster_decomposition(K, "Z", threads=4)
-    assert [s.as_dict() for s in single] == [s.as_dict() for s in pooled]
-    assert poincare_series(K, "F2", threads=3) == poincare_series(K, "F2")
+def test_decomposition_matches_full_range_cohomology():
+    """Each summand equals the shifted full-range cohomology of its
+    restriction; cones and windowed-out degrees contribute nothing."""
+    rng = seeded(35)
+    corpus = [random_antichain_complex(rng, rng.randint(1, 6)) for _ in range(6)]
+    corpus += [random_complex(6, floor, 0.5, seed)
+               for floor in (2, 3) for seed in range(3)]
+    corpus.append(fixture_complex("rp2.json"))   # Z torsion at the top
+    for K in corpus:
+        for coeffs in ("Z", "Q", "F2"):
+            found = {s.subset_mask: list(s.shifted_groups)
+                     for s in hochster_decomposition(K, coeffs)}
+            for mask in range(0, full_mask(K.n) + 1, 2):
+                shift = mask.bit_count() + 1
+                full = reduced_cohomology(K.restriction(mask), coeffs)
+                expected = [(d + shift, g) for d, g in sorted(full.items())
+                            if not g.is_zero]
+                assert found.get(mask, []) == expected, (K.facets, mask)
 
 
 def test_oracle_matches_decomposition_on_random_complexes():

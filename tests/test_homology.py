@@ -15,6 +15,7 @@ from momentangle import (
     full_mask,
     full_skeleton,
     new_complex,
+    random_complex,
     reduced_cohomology,
     reduced_homology,
     simplex,
@@ -136,6 +137,30 @@ def test_degree_window_is_safe():
         for d, g in groups.items():
             if not g.is_zero:
                 assert lo <= d <= hi
+
+
+def test_windowed_groups_match_full_range():
+    """Inside the window, where the bottom boundary rank is known rather
+    than computed, (co)homology equals the full-range computation."""
+    rng = seeded(25)
+    corpus = [random_antichain_complex(rng, rng.randint(1, 6)) for _ in range(6)]
+    corpus += [random_complex(6, floor, 0.5, seed)
+               for floor in (2, 3) for seed in range(3)]
+    corpus.append(fixture_complex("rp2.json"))   # Z torsion at the top
+    shortcuts = 0
+    for K in corpus:
+        for mask in range(0, full_mask(K.n) + 1, 2):
+            sub = K.restriction(mask)
+            window = homology_degree_window(sub)
+            shortcuts += window[0] >= 0   # bottom rank taken as known
+            for coeffs in ("Z", "Q", "F2"):
+                for groups in (reduced_homology, reduced_cohomology):
+                    full = groups(sub, coeffs)
+                    windowed = groups(sub, coeffs, window)
+                    assert windowed == {d: full[d] for d in windowed}
+                    assert all(g.is_zero for d, g in full.items()
+                               if d not in windowed)
+    assert shortcuts > 400
 
 
 def test_cochain_calculator_coordinates():
