@@ -8,7 +8,6 @@ pointwise evaluators certify the splitting construction.
 """
 
 from momentangle.clusters import (
-    DEFAULT_TOLERANCE,
     MembershipViolation,
     PartitionedSmashPoint,
     SuspensionPoint,

@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .clusters import DEFAULT_TOLERANCE, as_fraction
 from .complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -32,7 +31,7 @@ from .homology import DEFAULT_BATTERY, parse_coefficients
 from .hochster import hochster_decomposition, series_from_decomposition
 from .verify import find_tagging_violation, homotopy_report, split_region_report
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -157,18 +156,13 @@ def _cmd_theorem(args):
 
 
 def _cmd_cluster_verify(args):
-    tol = as_fraction(args.tol)
-    config = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": _fraction_str(tol),
-    }
+    config = {"samples": args.samples, "seed": args.seed}
     if args.complex is None and args.n is None:
         raise ValueError("cluster verify needs --n or --complex")
     body = {}
     if args.n is not None:
         config["n"] = args.n
-        regions = split_region_report(args.n, args.samples, args.seed, tol)
+        regions = split_region_report(args.n, args.samples, args.seed)
         body["regions"] = regions
         body["regions_pass"] = not any(
             regions[key] for key in regions if key.endswith(("breaches", "failures"))
@@ -176,15 +170,15 @@ def _cmd_cluster_verify(args):
     if args.complex is not None:
         config["complex"] = args.complex
         complex = _load_complex(args.complex)
-        homotopy = dict(homotopy_report(complex, args.samples, args.seed, tol))
-        homotopy["max_end_error"] = _fraction_str(homotopy["max_end_error"])
-        body["homotopy"] = homotopy
+        homotopy = dict(homotopy_report(complex, args.samples, args.seed))
         body["homotopy_pass"] = (
             homotopy["start_mismatches"] == 0
             and homotopy["end_mismatches"] == 0
-            and Fraction(homotopy["max_end_error"]) <= Fraction(1, 10**9)
+            and homotopy["max_end_error"] == 0
         )
-        witness = find_tagging_violation(complex, tol)
+        homotopy["max_end_error"] = _fraction_str(homotopy["max_end_error"])
+        body["homotopy"] = homotopy
+        witness = find_tagging_violation(complex)
         if witness is None:
             body["tagging_violation"] = None
         else:
@@ -294,11 +288,6 @@ def build_parser():
     v.add_argument("--n", type=int, help="ambient vertex count for region checks")
     v.add_argument("--samples", type=int, default=1000, help="sample count")
     v.add_argument("--seed", type=int, default=0, help="RNG seed")
-    v.add_argument(
-        "--tol",
-        default=str(DEFAULT_TOLERANCE),
-        help='gauge tolerance as a rational "p/q"',
-    )
     v.add_argument(
         "--complex", help="complex JSON file for homotopy and violation checks"
     )

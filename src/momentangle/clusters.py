@@ -4,16 +4,15 @@ Everything in this module runs on :class:`fractions.Fraction`.  Points of
 the open cube carry cluster statistics (how tightly coordinates bunch
 together, measured against their overall spread); those statistics cut the
 cube into a disjoint family of split regions, each star-shaped about an
-explicit center.  A bisected radial gauge identifies every split region
+explicit center.  An exact radial gauge identifies every split region
 with the open cube again, and on top of that sit the pointwise evaluators:
 the tagging map that pushes suspension parameters into a blocked smash
 product, its per-split factors, the pinch map that routes a point to the
 unique split region containing it, and the straight-line homotopy tying
 the tagging map to the pinched composite.
 
-No floating point is used anywhere; membership predicates are exact, and
-the only approximation in the module is the bisection gauge, which carries
-a rational tolerance and never affects a membership answer.
+No floating point and no approximation is used anywhere: membership
+predicates and the gauge are exact.
 """
 
 from fractions import Fraction
@@ -21,11 +20,12 @@ from functools import lru_cache
 
 from .complexes import full_mask, mask_vertices
 
-DEFAULT_TOLERANCE = Fraction(1, 2**40)
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+
+# Split enumeration scans all 2^n subsets; beyond this it is refused.
+MAX_SPLIT_VERTICES = 16
 
 
 class MembershipViolation(ValueError):
@@ -131,10 +131,13 @@ def enumerate_balanced_splits(n):
     """Ordered two-block partitions of {1..n} with both blocks > n/3.
 
     Pairs come back as ``(first_mask, second_mask)`` sorted by the first
-    mask; both orders of an unordered split appear.
+    mask; both orders of an unordered split appear.  The scan covers all
+    ``2^n`` subsets, so ``n`` above :data:`MAX_SPLIT_VERTICES` is refused.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if n > MAX_SPLIT_VERTICES:
+        raise ValueError(f"balanced splits need at most {MAX_SPLIT_VERTICES} vertices")
     everything = full_mask(n)
     out = []
     for bits in range(1, (1 << n) - 1):
@@ -225,48 +228,45 @@ def contract_toward_center(y, low_mask, high_mask, t):
 # radial gauge
 
 
-def _validate_tolerance(tol):
-    tol = as_fraction(tol)
-    if not _ZERO < tol < _ONE:
-        raise ValueError("tolerance must lie strictly between 0 and 1")
-    return tol
+def _gauge_radius(low_mask, high_mask, direction):
+    """Exact exit radius of the region ray from the center.
 
-def _gauge_radius(low_mask, high_mask, direction, tol):
-    """Bisect for the exit radius of a region ray.
-
-    ``direction`` is a max-norm unit vector.  The region is star-shaped
-    about its center, so membership along the ray is an interval starting
-    at 0; we keep ``lo`` inside, ``hi`` outside (seeded by the cube exit
-    radius), and shrink until the bracket is relatively smaller than
-    ``tol``.  The returned upper end never undershoots the true radius,
-    which keeps the gauge strictly inside the open cube.
+    ``direction`` is a max-norm unit vector ``u``, anchored by a 0.  Each
+    block is constant at the center, so along ``center + r·u`` the gap is
+    ``1/2 + r·G``, each cluster radius is ``r·ρ_i`` and, while the high
+    block stays above the low one, ``n·spread`` is ``1/2 + r·S``.
+    Membership is then a family of conditions ``A + B·r > 0``, each true
+    at ``r = 0``; the radius is the first root ``A / -B`` with ``B < 0``,
+    or the cube exit if that comes first.  Every point before it lies in
+    the region, the point at it does not.
     """
     n = len(direction) + 1
     center = split_center(low_mask, high_mask, n)
-    hi = min(
+    u = anchored(direction)
+    low = [u[i - 1] for i in mask_vertices(low_mask)]
+    high = [u[j - 1] for j in mask_vertices(high_mask)]
+    spread_slope = (max(high) - min(low)) / n
+    conditions = [(_HALF - _HALF / n, min(high) - max(low) - spread_slope)]
+    for block in (low_mask, high_mask):
+        conditions.extend(
+            (_HALF / n, spread_slope - cluster_radius(u, block, i))
+            for i in mask_vertices(block)
+        )
+    cube_exit = min(
         (_ONE - bk) / uk if uk > 0 else (-_ONE - bk) / uk
         for bk, uk in zip(center, direction)
         if uk != 0
     )
-    lo = _ZERO
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2
-        point = tuple(bk + mid * uk for bk, uk in zip(center, direction))
-        if in_split_region(point, low_mask, high_mask):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return min([cube_exit] + [-a / b for a, b in conditions if b < 0])
 
 
-def radial_gauge(low_mask, high_mask, y, tol=DEFAULT_TOLERANCE):
+def radial_gauge(low_mask, high_mask, y):
     """Identify a split region with the open cube, radially from the center.
 
     The image of ``y`` points the same way as ``y - center`` and has
     max-norm ``|y - center| / radius``, strictly below 1.  The center
     itself maps to the origin.
     """
-    tol = _validate_tolerance(tol)
     y = rational_point(y)
     if not in_split_region(y, low_mask, high_mask):
         raise ValueError("point is outside the split region")
@@ -276,18 +276,16 @@ def radial_gauge(low_mask, high_mask, y, tol=DEFAULT_TOLERANCE):
     if norm == 0:
         return offset
     direction = tuple(u / norm for u in offset)
-    radius = _gauge_radius(low_mask, high_mask, direction, tol)
+    radius = _gauge_radius(low_mask, high_mask, direction)
     return tuple(u / radius for u in offset)
 
 
-def radial_gauge_inverse(low_mask, high_mask, w, tol=DEFAULT_TOLERANCE):
+def radial_gauge_inverse(low_mask, high_mask, w):
     """Pull a cube point back into the split region.
 
-    Composing with :func:`radial_gauge` in either order is exact, not
-    merely tolerance-close: both directions normalise the same ray, so
-    the bisection returns the identical radius.
+    Composing with :func:`radial_gauge` in either order is exact: both
+    directions normalise the same ray, so they share its exit radius.
     """
-    tol = _validate_tolerance(tol)
     w = rational_point(w)
     _require_open_cube(w)
     n = len(w) + 1
@@ -297,7 +295,7 @@ def radial_gauge_inverse(low_mask, high_mask, w, tol=DEFAULT_TOLERANCE):
     if norm == 0:
         return center
     direction = tuple(c / norm for c in w)
-    radius = _gauge_radius(low_mask, high_mask, direction, tol)
+    radius = _gauge_radius(low_mask, high_mask, direction)
     return tuple(bk + ck * radius for bk, ck in zip(center, w))
 
 
@@ -588,7 +586,7 @@ def tagging_map(complex, omega):
     return point
 
 
-def factor_tagging_map(complex, low_mask, high_mask, omega, tol=DEFAULT_TOLERANCE):
+def factor_tagging_map(complex, low_mask, high_mask, omega):
     """One wedge factor of the pinched tagging map.
 
     The suspension parameters are read as a cube point, pulled back into
@@ -609,12 +607,12 @@ def factor_tagging_map(complex, low_mask, high_mask, omega, tol=DEFAULT_TOLERANC
     beta = _height_parameter(omega.params)
     if beta == 0:
         return PartitionedSmashPoint.basepoint()
-    pulled = radial_gauge_inverse(low_mask, high_mask, omega.params, tol)
+    pulled = radial_gauge_inverse(low_mask, high_mask, omega.params)
     return _damped_point(complex, beta, anchored(pulled), omega.payload,
                          "damped payload leaves the blocked smash")
 
 
-def pinch_map(y, tol=DEFAULT_TOLERANCE):
+def pinch_map(y):
     """Route a cube point to the split region containing it.
 
     Returns ``None`` (the wedge basepoint) when no region contains the
@@ -627,11 +625,11 @@ def pinch_map(y, tol=DEFAULT_TOLERANCE):
     n = len(y) + 1
     for low, high in enumerate_balanced_splits(n):
         if in_split_region(y, low, high):
-            return (low, high), radial_gauge(low, high, y, tol)
+            return (low, high), radial_gauge(low, high, y)
     return None
 
 
-def pinch_on_suspension(complex, omega, tol=DEFAULT_TOLERANCE):
+def pinch_on_suspension(complex, omega):
     """Pinch acting on suspension parameters only, payload untouched.
 
     Returns ``None`` for the wedge basepoint, else a ``(split, point)``
@@ -642,7 +640,7 @@ def pinch_on_suspension(complex, omega, tol=DEFAULT_TOLERANCE):
         return None
     if not in_smashed_complex(complex, omega.payload):
         raise ValueError("payload is not a point of the smashed model")
-    routed = pinch_map(omega.params, tol)
+    routed = pinch_map(omega.params)
     if routed is None:
         return None
     split, gauged = routed
@@ -673,7 +671,7 @@ def tagging_homotopy(complex, omega, t):
                          f"homotopy leaves the blocked smash at time {t}", t)
 
 
-def pinched_composite(complex, omega, tol=DEFAULT_TOLERANCE):
+def pinched_composite(complex, omega):
     """Factor tagging maps glued along the pinch.
 
     Points whose parameters miss every split region collapse; the rest
@@ -690,10 +688,10 @@ def pinched_composite(complex, omega, tol=DEFAULT_TOLERANCE):
     beta = _height_parameter(omega.params)
     if beta == 0:
         return PartitionedSmashPoint.basepoint()
-    routed = pinch_map(omega.params, tol)
+    routed = pinch_map(omega.params)
     if routed is None:
         return PartitionedSmashPoint.basepoint()
     (low, high), gauged = routed
-    pulled = radial_gauge_inverse(low, high, gauged, tol)
+    pulled = radial_gauge_inverse(low, high, gauged)
     return _damped_point(complex, beta, anchored(pulled), omega.payload,
                          "pinched composite leaves the blocked smash")

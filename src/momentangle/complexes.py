@@ -276,6 +276,8 @@ class SimplicialComplex:
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in f)
                 for f in facets):
             raise ValueError("'facets' must be a list of integer lists")
+        if any(len(set(f)) != len(f) for f in facets):
+            raise ValueError("a facet names the same vertex twice")
         return cls.from_vertex_lists(n, facets)
 
 

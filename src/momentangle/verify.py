@@ -2,8 +2,8 @@
 
 The evaluators in :mod:`momentangle.clusters` are pointwise and exact, so
 their governing identities can be checked by sampling rational points and
-evaluating predicates — no numerics, no tolerance anywhere except inside
-the bisection gauge.  This module supplies the samplers, two aggregate
+evaluating predicates — no numerics, no tolerance anywhere, not even
+in the radial gauge.  This module supplies the samplers, two aggregate
 report builders used by the command line, and a deterministic constructor
 for a tagging-map membership violation on complexes where some small
 vertex set fails to be a face.
@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from .clusters import (
-    DEFAULT_TOLERANCE,
     MembershipViolation,
     SuspensionPoint,
     anchored,
@@ -74,17 +73,18 @@ def sample_smash_payload(rng, complex, denominator=DEFAULT_DENOMINATOR, end_bias
     return tuple(out)
 
 
-def split_region_report(n, samples, seed, tol=DEFAULT_TOLERANCE, gauge_checks=200):
+def split_region_report(n, samples, seed):
     """Sampled statistics for the split-region decomposition.
 
     Half the points are uniform over the cube, half are perturbed around
     split centers so the (small) regions are actually exercised.  Every
     counted breach is a failure of an exact predicate identity: regions
     overlapping, a region point outside the cluster region, or a cluster
-    point missed by every region.  Gauge round trips are checked on the
-    first ``gauge_checks`` tagged points and must reproduce the point
-    exactly.
+    point missed by every region.  Every tagged point makes a gauge round
+    trip, which must reproduce it exactly.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = random.Random(seed)
     splits = enumerate_balanced_splits(n)
     centers = [split_center(low, high, n) for low, high in splits]
@@ -128,11 +128,9 @@ def split_region_report(n, samples, seed, tol=DEFAULT_TOLERANCE, gauge_checks=20
             if not _retraction_holds(y, low, high, n, times):
                 report["retraction_breaches"] += 1
             report["retraction_checked"] += 1
-            if report["gauge_trips"] < gauge_checks:
-                w = radial_gauge(low, high, y, tol)
-                if radial_gauge_inverse(low, high, w, tol) != y:
-                    report["gauge_failures"] += 1
-                report["gauge_trips"] += 1
+            if radial_gauge_inverse(low, high, radial_gauge(low, high, y)) != y:
+                report["gauge_failures"] += 1
+            report["gauge_trips"] += 1
     return report
 
 
@@ -158,16 +156,18 @@ def _retraction_holds(y, low, high, n, times):
     return True
 
 
-def homotopy_report(complex, samples, seed, tol=DEFAULT_TOLERANCE):
+def homotopy_report(complex, samples, seed):
     """Endpoint identities of the tagging homotopy on sampled points.
 
     Time 0 must reproduce the tagging map exactly.  Time 1 must agree
     with the pinched composite: basepoints match up, and on non-basepoint
-    values the worst height/anchor deviation is recorded (the payload is
-    compared exactly).  Membership violations are counted rather than
+    values the worst height/anchor deviation is recorded (zero, as the
+    gauge round trip is exact) and the payload is compared exactly.  Membership violations are counted rather than
     raised, so the report is also useful on complexes that fail the
     neighbourliness hypothesis.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = random.Random(seed)
     n = complex.n
     splits = enumerate_balanced_splits(n)
@@ -195,7 +195,7 @@ def homotopy_report(complex, samples, seed, tol=DEFAULT_TOLERANCE):
             for mid in (Fraction(1, 4), Fraction(3, 4)):
                 tagging_homotopy(complex, omega, mid)
             end = tagging_homotopy(complex, omega, 1)
-            composite = pinched_composite(complex, omega, tol)
+            composite = pinched_composite(complex, omega)
         except MembershipViolation:
             report["membership_violations"] += 1
             continue
@@ -215,7 +215,7 @@ def homotopy_report(complex, samples, seed, tol=DEFAULT_TOLERANCE):
     return report
 
 
-def find_tagging_violation(complex, tol=DEFAULT_TOLERANCE):
+def find_tagging_violation(complex):
     """Deterministically build a point where a factor tagging map escapes.
 
     When some vertex set with at most a third of the vertices is not a
@@ -256,10 +256,10 @@ def find_tagging_violation(complex, tol=DEFAULT_TOLERANCE):
     pre_gauge = tuple(values[v] for v in range(1, n))
     if not in_split_region(pre_gauge, low, high):
         raise AssertionError("constructed point missed its split region")
-    params = radial_gauge(low, high, pre_gauge, tol)
+    params = radial_gauge(low, high, pre_gauge)
     omega = SuspensionPoint(params, (Fraction(1),) * n)
     try:
-        factor_tagging_map(complex, low, high, omega, tol)
+        factor_tagging_map(complex, low, high, omega)
     except MembershipViolation as exc:
         return {
             "low_block": low,

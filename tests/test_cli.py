@@ -34,7 +34,7 @@ def write_complex(tmp_path, name, n, facets):
 
 def test_analyze_report(capsys):
     report = run_json(capsys, "analyze", CYCLE4)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["command"] == "analyze"
     assert report["config"] == {"input": CYCLE4}
     assert report["n"] == 4 and report["dim"] == 1
@@ -148,7 +148,7 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "analyze", CYCLE4, "--format", "text")
     assert code == 0
     lines = out.splitlines()
-    assert "schema = 1" in lines
+    assert "schema = 2" in lines
     assert 'command = "analyze"' in lines
     assert "minimal_non_faces = [[1, 3], [2, 4]]" in lines
 
@@ -170,11 +170,27 @@ def test_exit_codes(capsys, tmp_path):
     worse = tmp_path / "worse.json"
     worse.write_text(json.dumps({"facets": [[1]]}))
     assert run_cli(capsys, "analyze", str(worse))[0] == 1
-    # bad coefficient label, and the removed thread-count flag
+    # bad coefficient label, and the removed thread-count and tolerance flags
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "R")[0] == 1
     assert run_cli(capsys, "hochster", CYCLE4, "--threads", "2")[0] == 1
-    # cluster verify without a target
+    assert run_cli(capsys, "cluster", "verify", "--n", "4", "--samples", "2",
+                   "--tol", "1/2")[0] == 1
+    # cluster verify without a target, without samples, or beyond the
+    # split-enumeration cap (refused before the 2^n scan starts)
     assert run_cli(capsys, "cluster", "verify")[0] == 1
+    for samples in ("0", "-3"):
+        code, out, err = run_cli(capsys, "cluster", "verify", "--n", "5",
+                                 "--samples", samples)
+        assert code == 1 and out == "" and "sample" in err
+        code, out, _ = run_cli(capsys, "cluster", "verify", "--complex", CYCLE4,
+                               "--samples", samples)
+        assert code == 1 and out == ""
+    code, out, err = run_cli(capsys, "cluster", "verify", "--n", "40",
+                             "--samples", "1")
+    assert code == 1 and out == "" and "at most 16" in err
+    # a facet naming one vertex twice
+    repeated = write_complex(tmp_path, "repeated.json", 2, [[1, 1]])
+    assert run_cli(capsys, "analyze", repeated)[0] == 1
     # join without factors
     assert run_cli(capsys, "generate", "join")[0] == 1
     assert run_cli(capsys, "generate", "simplex")[0] == 1

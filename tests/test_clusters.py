@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from momentangle import (
-    DEFAULT_TOLERANCE,
     MembershipViolation,
     PartitionedSmashPoint,
     SuspensionPoint,
@@ -36,7 +35,12 @@ from momentangle import (
     tagging_map,
     vertex_mask,
 )
-from momentangle.clusters import as_fraction, rational_point
+from momentangle.clusters import (
+    MAX_SPLIT_VERTICES,
+    _gauge_radius,
+    as_fraction,
+    rational_point,
+)
 from momentangle.verify import sample_near, sample_open_cube, sample_smash_payload
 
 from util import load_fixture, fixture_complex, seeded
@@ -99,6 +103,8 @@ def test_enumerate_balanced_splits_counts():
             assert low | high == full and not low & high
             assert 3 * low.bit_count() > n and 3 * high.bit_count() > n
             assert (high, low) in splits
+    with pytest.raises(ValueError):
+        enumerate_balanced_splits(MAX_SPLIT_VERTICES + 1)
     with pytest.raises(ValueError):
         enumerate_balanced_splits(0)
 
@@ -178,9 +184,8 @@ def test_radial_gauge_center_and_frozen_ray():
     assert center == (F(0), F(1, 2), F(1, 2))
     assert radial_gauge(low, high, center) == (0, 0, 0)
     assert radial_gauge_inverse(low, high, (F(0),) * 3) == center
-    # along the first axis the region ends exactly at radius 1/8 (the
-    # point where vertex 1's cluster radius reaches the spread), and the
-    # dyadic bisection recovers that endpoint exactly
+    # along the first axis the region ends exactly at radius 1/8, the
+    # point where vertex 1's cluster radius reaches the spread
     y = (F(1, 32), F(1, 2), F(1, 2))
     assert radial_gauge(low, high, y) == (F(1, 4), F(0), F(0))
 
@@ -211,10 +216,45 @@ def test_radial_gauge_validation():
         radial_gauge(low, high, outside)
     with pytest.raises(ValueError):
         radial_gauge_inverse(low, high, (F(1), F(0), F(0)))
-    with pytest.raises(ValueError):
-        radial_gauge(low, high, WORKED_Y, tol=0)
-    with pytest.raises(ValueError):
-        radial_gauge(low, high, WORKED_Y, tol=2)
+
+
+def seeded_rays(rng, n, count):
+    """Splits of ``n`` paired with seeded max-norm unit directions."""
+    splits = enumerate_balanced_splits(n)
+    for _ in range(count):
+        u = [F(rng.randint(-999, 999), 1000) for _ in range(n - 1)]
+        norm = max(abs(c) for c in u) or F(1)
+        yield splits[rng.randrange(len(splits))], tuple(c / norm for c in u)
+
+
+def test_gauge_radius_is_the_exact_exit():
+    rng = seeded(67)
+    region_exits = 0
+    for n in range(4, 10):
+        for (low, high), u in seeded_rays(rng, n, 25):
+            center = split_center(low, high, n)
+            radius = _gauge_radius(low, high, u)
+            at = tuple(b + radius * c for b, c in zip(center, u))
+            if max(abs(c) for c in at) < 1:
+                assert not in_split_region(at, low, high)
+                region_exits += 1
+            else:
+                assert max(abs(c) for c in at) == 1
+            short = radius * (1 - F(1, 2**30))
+            assert in_split_region(
+                tuple(b + short * c for b, c in zip(center, u)), low, high)
+    assert region_exits > 100
+
+
+def test_gauge_inverse_near_the_cube_boundary_stays_in_region():
+    # an upper bracket of the exit radius would map these just outside
+    rng = seeded(71)
+    for n in range(4, 10):
+        for (low, high), u in seeded_rays(rng, n, 10):
+            w = tuple((1 - F(1, 2**50)) * c for c in u)
+            y = radial_gauge_inverse(low, high, w)
+            assert in_split_region(y, low, high)
+            assert radial_gauge(low, high, y) == w
 
 
 def test_smashed_complex_membership():

@@ -146,7 +146,9 @@ def test_serialization_roundtrip():
         assert SimplicialComplex.from_dict(K.to_dict()) == K
     for bad in ({"n": 3}, {"n": "3", "facets": []}, {"n": 3, "facets": [["a"]]},
                 # JSON true loads as a bool, which Python counts as an int
-                {"n": True, "facets": [[1]]}, {"n": 1, "facets": [[True]]}):
+                {"n": True, "facets": [[1]]}, {"n": 1, "facets": [[True]]},
+                # a facet naming a vertex twice
+                {"n": 2, "facets": [[1, 1]]}, {"n": 3, "facets": [[2], [1, 3, 1]]}):
         with pytest.raises(ValueError):
             SimplicialComplex.from_dict(bad)
 
