@@ -8,10 +8,18 @@ splitting fails, and a map that is nonzero on cohomology is certainly
 essential.  This module certifies nullhomotopy where cheap topology
 suffices (contractible source or target, dimension below the join's
 connectivity) and otherwise computes the induced cohomology maps
-exactly, over ZZ, QQ and small prime fields.
+exactly, over ZZ, QQ and small prime fields.  A certificate stops at the
+first nonzero map, so a QQ check that follows a zero ZZ map in the
+battery is skipped: by the universal coefficient theorem the QQ map is
+the ZZ map tensored with QQ, hence zero as well.  Reports that list the
+maps over every coefficient system (``iota_pair``, the witness of a
+NotCoH verdict, ``cup_products_vanish``) still compute QQ.
 
 Certificate reasons name the spaces of the unsuspended inclusion: its
 source is the restriction to I ∪ J and its target is the join.
+
+Scans over all pairs visit (3^n - 2^{n+1} + 1)/2 pairs, so they refuse
+complexes with more than ``MAX_PAIR_VERTICES`` vertices up front.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from momentangle.homology import (
     connectivity_certificate,
 )
 from momentangle.hochster import wedge_model
+
+# Largest vertex count the all-pairs scans accept: 261,625 pairs at n = 12.
+MAX_PAIR_VERTICES = 12
 
 
 class NullCertificate:
@@ -129,6 +140,14 @@ def iter_disjoint_pairs(n):
                 yield first, second
 
 
+def _check_pair_scan(complex):
+    """Refuse a complex too large for an all-pairs scan, before any
+    subset walk (even its neighbourliness) starts."""
+    if complex.n > MAX_PAIR_VERTICES:
+        raise ValueError(f"pair scans need at most {MAX_PAIR_VERTICES} "
+                         f"vertices, got {complex.n}")
+
+
 class _PairEngine:
     """Per-run caches for restrictions, joins and cohomology calculators."""
 
@@ -204,7 +223,11 @@ def _certificate(engine, subset_i, subset_j, battery=DEFAULT_BATTERY):
     if (flag_i == "topological" and flag_j == "topological"
             and engine.restriction(union).dim <= conn_i + conn_j + 2):
         return NullCertificate("Null", reason="DimBelowConnectivity")
-    for coeffs in battery:
+    for k, coeffs in enumerate(battery):
+        # Every earlier map was zero.  If Z was among them, the universal
+        # coefficient theorem (f*_Q = f*_Z ⊗ Q) makes the Q map zero too.
+        if coeffs == "Q" and "Z" in battery[:k]:
+            continue
         degrees = engine.induced_map(subset_i, subset_j,
                                      coeffs).nonzero_degrees()
         if degrees:
@@ -246,6 +269,7 @@ def pair_certificates(complex, coeffs=DEFAULT_BATTERY):
     map is essential, so the product-vanishing question is settled by
     scanning the verdicts.
     """
+    _check_pair_scan(complex)
     if isinstance(coeffs, str):
         coeffs = (coeffs,)
     engine = _PairEngine(complex)
@@ -263,6 +287,7 @@ def cup_products_vanish(complex, coeffs=DEFAULT_BATTERY):
     map for rank reasons and are skipped; every other pair's maps are
     computed exactly.  Returns (all_zero, [PairReport for failures]).
     """
+    _check_pair_scan(complex)
     if isinstance(coeffs, str):
         coeffs = (coeffs,)
     engine = _PairEngine(complex)
@@ -303,6 +328,7 @@ def splitting_verdict(complex):
     model.  Anything else is Inconclusive, listing the pairs that
     resisted certification.
     """
+    _check_pair_scan(complex)
     hypothesis = complex.is_third_neighbourly
     engine = _PairEngine(complex)
     unknown = []

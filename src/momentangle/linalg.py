@@ -528,25 +528,33 @@ def field_rank(rows, p=None):
     return field_echelon(rows, p)[0]
 
 
+def echelon_nullspace(rref, pivots, num_cols, p=None):
+    """Free columns and right-nullspace basis of a reduced echelon form.
+
+    Returns ``(free, basis)``: basis vector k is 1 at ``free[k]`` and 0
+    at every other free column, so a nullspace vector's coordinates in
+    this basis are its entries at the free columns, in order.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(num_cols) if c not in pivot_set]
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    basis = []
+    for f in free:
+        vec = [zero] * num_cols
+        vec[f] = one
+        for r, c in enumerate(pivots):
+            v = rref[r][f]
+            vec[c] = (-v) % p if p else -v
+        basis.append(vec)
+    return free, basis
+
+
 def field_nullspace(rows, p=None):
     """Basis of the right nullspace, one dense vector per free column."""
     if not rows:
         return []
-    num_cols = len(rows[0])
     rank, rref, pivots = field_echelon(rows, p)
-    pivot_set = set(pivots)
-    basis = []
-    one = 1 if p else Fraction(1)
-    for free in range(num_cols):
-        if free in pivot_set:
-            continue
-        vec = [0 if p else Fraction(0)] * num_cols
-        vec[free] = one
-        for r, c in enumerate(pivots):
-            v = rref[r][free]
-            vec[c] = (-v) % p if p else -v
-        basis.append(vec)
-    return basis
+    return echelon_nullspace(rref, pivots, len(rows[0]), p)[1]
 
 
 def field_solve(rows, rhs, p=None):

@@ -188,6 +188,12 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "cluster", "verify", "--n", "40",
                              "--samples", "1")
     assert code == 1 and out == "" and "at most 16" in err
+    # pair scans beyond the vertex cap, refused before any subset walk
+    # (the 40-simplex's neighbourliness alone walks 2^40 subsets)
+    big = write_complex(tmp_path, "big.json", 40, [list(range(1, 41))])
+    for argv in (("theorem", big), ("golod", big, "--coeffs", "Z")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "at most 12" in err
     # a facet naming one vertex twice
     repeated = write_complex(tmp_path, "repeated.json", 2, [[1, 1]])
     assert run_cli(capsys, "analyze", repeated)[0] == 1

@@ -18,14 +18,23 @@ from momentangle import (
     new_complex,
     null_certificate,
     pair_certificates,
+    random_complex,
     shifted_join,
     simplex,
     single_non_face,
     splitting_verdict,
     vertex_mask,
 )
-from momentangle.golod import SummandClass
+from momentangle import golod
+from momentangle.golod import (
+    MAX_PAIR_VERTICES,
+    NullCertificate,
+    SummandClass,
+    _certificate,
+    _PairEngine,
+)
 
+from test_acceptance import neighbourly_verdict_corpus, oracle_corpus
 from util import fixture_complex, random_antichain_complex, seeded
 
 
@@ -54,6 +63,14 @@ def test_pair_validation_errors():
         null_certificate(c4, vertex_mask([1, 2]), vertex_mask([2, 3]))
     with pytest.raises(ValueError):
         null_certificate(c4, vertex_mask([1]), vertex_mask([5]))
+
+
+def test_pair_scans_refuse_complexes_above_the_cap():
+    assert MAX_PAIR_VERTICES == 12
+    K = simplex(MAX_PAIR_VERTICES + 1)
+    for scan in (splitting_verdict, pair_certificates, cup_products_vanish):
+        with pytest.raises(ValueError, match="at most 12"):
+            scan(K)
 
 
 def test_certificate_reasons_on_named_pairs():
@@ -181,6 +198,66 @@ def test_pair_certificates_consistency():
             flagged = {(i, j) for i, j, c in triples
                        if c.verdict == "NotNull"}
             assert flagged <= reported
+
+
+def test_zero_integral_map_forces_zero_rational_map():
+    # f*_Q = f*_Z ⊗ Q (universal coefficients): why a certificate skips Q
+    # once Z has come out zero.  Checked on every pair of the acceptance-4
+    # corpus that the cheap certificates leave to the induced maps.
+    zero_z = 0
+    for K in oracle_corpus() + neighbourly_verdict_corpus(seeded(404)):
+        engine = _PairEngine(K)
+        for i, j in iter_disjoint_pairs(K.n):
+            # the size test is the certificate's first check, inlined so
+            # the 12-vertex complexes' 261,625 pairs stay cheap
+            if (min(i.bit_count(), j.bit_count()) <= K.neighbourliness
+                    or _certificate(engine, i, j, battery=()).verdict == "Null"):
+                continue
+            if engine.induced_map(i, j, "Z").is_zero:
+                zero_z += 1
+                assert engine.induced_map(i, j, "Q").is_zero
+    assert zero_z > 500
+
+
+def _explicit_certificates(K, battery):
+    """Certificates computing every battery map up to the first nonzero
+    one, Q included."""
+    engine = _PairEngine(K)
+    out = []
+    for i, j in iter_disjoint_pairs(K.n):
+        certificate = _certificate(engine, i, j, battery=())
+        if certificate.verdict == "Unknown":
+            for coeffs in battery:
+                degrees = engine.induced_map(i, j, coeffs).nonzero_degrees()
+                if degrees:
+                    certificate = NullCertificate(
+                        "NotNull", obstruction=(coeffs, degrees[0]))
+                    break
+        out.append((i, j, certificate.as_dict()))
+    return out
+
+
+def test_rational_check_skipped_only_after_integral(monkeypatch):
+    built = []
+    calculator = golod.CochainCalculator
+
+    def recording(complex, coeffs="Z"):
+        built.append(coeffs)
+        return calculator(complex, coeffs)
+
+    monkeypatch.setattr(golod, "CochainCalculator", recording)
+    # each complex leaves some pairs to the battery; cycle 4 and 5 have
+    # an essential pair, the others only Unknown ones
+    for K in (cycle_complex(4), cycle_complex(5), full_skeleton(6, 1),
+              random_complex(6, 1, 0.2, 2)):
+        for battery, builds_q in ((("Z", "Q", "F2"), False),
+                                  (("Q", "Z", "F2"), True),
+                                  (("Q", "F2"), True)):
+            built.clear()
+            got = pair_certificates(K, battery)
+            assert ("Q" in built) == builds_q
+            assert [(i, j, c.as_dict()) for i, j, c in got] == \
+                _explicit_certificates(K, battery)
 
 
 def test_verdicts_invariant_under_relabeling():

@@ -1,6 +1,7 @@
 """Reduced (co)homology, cochain coordinates, induced maps, connectivity."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from momentangle.homology import (
     homology_degree_window,
     parse_coefficients,
 )
+from momentangle.linalg import field_echelon, field_nullspace, field_solve
 
 from util import fixture_complex, random_antichain_complex, seeded
 
@@ -185,6 +187,77 @@ def test_cochain_calculator_coordinates():
                         [1] + [0] * (len(calc.faces(d - 1)) - 1))
                     assert calc.is_cocycle(d, image)
                     assert not any(calc.class_coordinates(d, image))
+
+
+def _solve_route(calc, d):
+    """Generators and a class-coordinates function that solve against the
+    kernel basis per coboundary image and per vector: the route the
+    free-column readout replaced."""
+    p = calc.p
+    dim_d = len(calc.faces(d))
+    delta_rows = calc.coboundary_matrix(d).to_rows()
+    one, zero = (1, 0) if p else (Fraction(1), Fraction(0))
+    kernel = (field_nullspace(delta_rows, p) if delta_rows else
+              [[one if i == j else zero for i in range(dim_d)]
+               for j in range(dim_d)])
+    kernel_rows = [[vec[i] for vec in kernel] for i in range(dim_d)]
+    prev = calc.coboundary_matrix(d - 1)
+    relation_rows = []
+    for col in range(prev.num_cols):
+        image = [v % p if p else v for v in prev.column(col)]
+        relation_rows.append(field_solve(kernel_rows, image, p)
+                             if kernel else [])
+    rank_rel, rref, pivots = (field_echelon(relation_rows, p)
+                              if relation_rows and kernel else (0, [], []))
+    free = [j for j in range(len(kernel)) if j not in set(pivots)]
+
+    def coordinates(vector):
+        if not kernel:
+            return ()
+        z = field_solve(kernel_rows, [v % p if p else v for v in vector], p)
+        for row, c in zip(rref[:rank_rel], pivots):
+            f = z[c]
+            if f:
+                z = [(a - f * b) % p if p else a - f * b
+                     for a, b in zip(z, row)]
+        return tuple(z[j] for j in free)
+
+    return [kernel[j] for j in free], coordinates
+
+
+def test_free_column_readout_matches_solve_route():
+    rng = seeded(808)
+    complexes = [random_complex(7, 2, 0.3, seed) for seed in range(3)]
+    complexes += [random_complex(6, 1, 0.2, seed) for seed in range(4)]
+    for seed in range(1, 5):
+        K = random_complex(6, 1, 0.2, seed)
+        complexes.append(K.restriction(vertex_mask([1, 2, 3])).join(
+            K.restriction(vertex_mask([4, 5, 6]))))
+    checked = nonzero = 0
+    for K in complexes:
+        for coeffs in ("Q", "F2", "F3"):
+            calc = CochainCalculator(K, coeffs)
+            for d in calc.degrees():
+                gens = calc.generators(d)
+                size = len(calc.faces(d - 1))
+                vectors = list(gens)
+                for _ in range(3):
+                    combo = [0] * len(calc.faces(d))
+                    for g in gens:
+                        a = rng.randint(-3, 3)
+                        combo = [x + a * y for x, y in zip(combo, g)]
+                    image = calc.coboundary_matrix(d - 1).apply(
+                        [rng.randint(-2, 2) for _ in range(size)])
+                    vectors.append([x + y for x, y in zip(combo, image)])
+                old_gens, old_coordinates = _solve_route(calc, d)
+                assert old_gens == gens
+                for v in vectors:
+                    new, old = calc.class_coordinates(d, v), old_coordinates(v)
+                    assert new == old
+                    assert [type(x) for x in new] == [type(x) for x in old]
+                    checked += 1
+                    nonzero += any(new)
+    assert checked > 300 and nonzero > 100
 
 
 def test_class_coordinates_reject_non_cocycles():
