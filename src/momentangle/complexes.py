@@ -226,14 +226,13 @@ class SimplicialComplex:
     def neighbourliness(self):
         """Largest k such that every k-subset of {1..n} is a face.
 
-        Equals n for the full simplex, 0 when some vertex is missing.
+        Equals n for the full simplex, 0 when some vertex is missing (a
+        ghost vertex is a missing 1-face); otherwise the support is
+        {1..n} and this is the support neighbourliness.
         """
-        verts = range(1, self.n + 1)
-        for size in range(1, self.n + 1):
-            for combo in itertools.combinations(verts, size):
-                if not self.is_face(vertex_mask(combo)):
-                    return size - 1
-        return self.n
+        if self.support != full_mask(self.n):
+            return 0
+        return self.support_neighbourliness
 
     @cached_property
     def support_neighbourliness(self):

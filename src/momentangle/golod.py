@@ -18,20 +18,24 @@ NotCoH verdict, ``cup_products_vanish``) still compute QQ.
 Certificate reasons name the spaces of the unsuspended inclusion: its
 source is the restriction to I ∪ J and its target is the join.
 
-Scans over all pairs visit (3^n - 2^{n+1} + 1)/2 pairs, so they refuse
-complexes with more than ``MAX_PAIR_VERTICES`` vertices up front.
+Every scan over all pairs (``pair_certificates``, ``splitting_verdict``,
+``cup_products_vanish``) reads one certificate stream, which walks the
+(3^n - 2^{n+1} + 1)/2 disjoint pairs once; ``cup_products_vanish`` is
+its set of NotNull pairs.  The stream refuses complexes with more than
+``MAX_PAIR_VERTICES`` vertices up front, then reads the neighbourliness
+once and settles every pair with a side no larger than it by size
+alone.  That size test belongs to the walk: a single-pair certificate
+(``null_certificate``, ``iota_pair``) reaches the same verdict through
+its cone test and walks no subsets.
 """
 
 from __future__ import annotations
-
-import math
 
 from momentangle.complexes import full_mask, mask_vertices
 from momentangle.homology import (
     DEFAULT_BATTERY,
     CochainCalculator,
     InducedMap,
-    check_subcomplex,
     connectivity_certificate,
 )
 from momentangle.hochster import wedge_model
@@ -140,16 +144,9 @@ def iter_disjoint_pairs(n):
                 yield first, second
 
 
-def _check_pair_scan(complex):
-    """Refuse a complex too large for an all-pairs scan, before any
-    subset walk (even its neighbourliness) starts."""
-    if complex.n > MAX_PAIR_VERTICES:
-        raise ValueError(f"pair scans need at most {MAX_PAIR_VERTICES} "
-                         f"vertices, got {complex.n}")
-
-
 class _PairEngine:
-    """Per-run caches for restrictions, joins and cohomology calculators."""
+    """Per-run caches for restrictions, joins, calculators and induced maps,
+    plus the one pair walk and the one pair-report builder."""
 
     def __init__(self, complex):
         self.complex = complex
@@ -170,29 +167,61 @@ class _PairEngine:
                 self.restriction(mask))
         return self._connectivity[mask]
 
-    def calculator(self, complex, key, coeffs):
-        memo_key = (key, coeffs)
-        if memo_key not in self._calculators:
-            self._calculators[memo_key] = CochainCalculator(complex, coeffs)
-        return self._calculators[memo_key]
+    def calculator(self, mask, coeffs):
+        """Cochain calculator of the restriction to ``mask``."""
+        key = (mask, coeffs)
+        if key not in self._calculators:
+            self._calculators[key] = CochainCalculator(self.restriction(mask),
+                                                       coeffs)
+        return self._calculators[key]
 
     def join(self, subset_i, subset_j):
         key = (subset_i, subset_j)
         if key not in self._joins:
-            joined = self.restriction(subset_i).join(self.restriction(subset_j))
-            check_subcomplex(self.restriction(subset_i | subset_j), joined)
-            self._joins[key] = joined
+            self._joins[key] = self.restriction(subset_i).join(
+                self.restriction(subset_j))
         return self._joins[key]
 
     def induced_map(self, subset_i, subset_j, coeffs):
+        """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J; the join's
+        calculator is used by this map alone, so it is cached here."""
         key = (subset_i, subset_j, coeffs)
         if key not in self._induced:
-            source = self.calculator(self.join(subset_i, subset_j),
-                                     ("join", subset_i, subset_j), coeffs)
-            target = self.calculator(self.restriction(subset_i | subset_j),
-                                     ("sub", subset_i | subset_j), coeffs)
-            self._induced[key] = InducedMap(target, source)
+            self._induced[key] = InducedMap(
+                self.calculator(subset_i | subset_j, coeffs),
+                CochainCalculator(self.join(subset_i, subset_j), coeffs))
         return self._induced[key]
+
+    def certificates(self, battery):
+        """Stream ``(subset_i, subset_j, NullCertificate)`` over every
+        disjoint pair, in the canonical order of ``iter_disjoint_pairs``.
+
+        The cap is checked before any subset walk, the neighbourliness
+        included.  A side of size at most the neighbourliness restricts
+        to a full simplex, so the join is a cone: such pairs are settled
+        by their sizes, with nothing built.
+        """
+        if self.complex.n > MAX_PAIR_VERTICES:
+            raise ValueError(f"pair scans need at most {MAX_PAIR_VERTICES} "
+                             f"vertices, got {self.complex.n}")
+        neighbourliness = self.complex.neighbourliness
+        return ((subset_i, subset_j,
+                 NullCertificate("Null", reason="TargetContractible")
+                 if min(subset_i.bit_count(),
+                        subset_j.bit_count()) <= neighbourliness
+                 else _certificate(self, subset_i, subset_j, battery))
+                for subset_i, subset_j in iter_disjoint_pairs(self.complex.n))
+
+    def report(self, subset_i, subset_j, battery, certificate):
+        """The pair's certificate with its induced map over every
+        coefficient system of the battery."""
+        induced = {c: self.induced_map(subset_i, subset_j, c) for c in battery}
+        return PairReport(subset_i, subset_j, induced, certificate)
+
+
+def _battery(coeffs):
+    """A coefficient battery as a sequence; one label is a battery of one."""
+    return (coeffs,) if isinstance(coeffs, str) else coeffs
 
 
 def _validate_pair(complex, subset_i, subset_j):
@@ -206,12 +235,6 @@ def _validate_pair(complex, subset_i, subset_j):
 
 def _certificate(engine, subset_i, subset_j, battery=DEFAULT_BATTERY):
     """Certificate cascade for one pair, cheapest arguments first."""
-    complex = engine.complex
-    # A side of size at most the neighbourliness restricts to a full
-    # simplex, so the join is a cone; skip building anything.
-    if min(subset_i.bit_count(),
-           subset_j.bit_count()) <= complex.neighbourliness:
-        return NullCertificate("Null", reason="TargetContractible")
     if (engine.restriction(subset_i).is_cone
             or engine.restriction(subset_j).is_cone):
         return NullCertificate("Null", reason="TargetContractible")
@@ -253,12 +276,10 @@ def iota_pair(complex, subset_i, subset_j, coeffs=DEFAULT_BATTERY):
     """Full report for one pair: join built, subcomplex checked, induced
     cohomology maps computed over every requested coefficient system."""
     _validate_pair(complex, subset_i, subset_j)
-    if isinstance(coeffs, str):
-        coeffs = (coeffs,)
+    battery = _battery(coeffs)
     engine = _PairEngine(complex)
-    induced = {c: engine.induced_map(subset_i, subset_j, c) for c in coeffs}
-    certificate = _certificate(engine, subset_i, subset_j, battery=coeffs)
-    return PairReport(subset_i, subset_j, induced, certificate)
+    return engine.report(subset_i, subset_j, battery,
+                         _certificate(engine, subset_i, subset_j, battery))
 
 
 def pair_certificates(complex, coeffs=DEFAULT_BATTERY):
@@ -269,51 +290,23 @@ def pair_certificates(complex, coeffs=DEFAULT_BATTERY):
     map is essential, so the product-vanishing question is settled by
     scanning the verdicts.
     """
-    _check_pair_scan(complex)
-    if isinstance(coeffs, str):
-        coeffs = (coeffs,)
-    engine = _PairEngine(complex)
-    return [
-        (subset_i, subset_j, _certificate(engine, subset_i, subset_j, coeffs))
-        for subset_i, subset_j in iter_disjoint_pairs(complex.n)
-    ]
+    return list(_PairEngine(complex).certificates(_battery(coeffs)))
 
 
 def cup_products_vanish(complex, coeffs=DEFAULT_BATTERY):
     """Whether every induced map on cohomology is zero, with witnesses.
 
-    Scans all disjoint pairs.  Pairs whose join is a cone (one side is a
-    simplex or a cone) or whose union restricts to a cone have a zero
-    map for rank reasons and are skipped; every other pair's maps are
-    computed exactly.  Returns (all_zero, [PairReport for failures]).
+    The witnesses are the NotNull pairs of the certificate stream, each
+    reported with its maps over every requested coefficient system; a
+    Null or Unknown pair has a zero map over each of them.  Returns
+    (all_zero, [PairReport for failures]).
     """
-    _check_pair_scan(complex)
-    if isinstance(coeffs, str):
-        coeffs = (coeffs,)
+    battery = _battery(coeffs)
     engine = _PairEngine(complex)
-    neighbourliness = complex.neighbourliness
-    witnesses = []
-    for subset_i, subset_j in iter_disjoint_pairs(complex.n):
-        if min(subset_i.bit_count(), subset_j.bit_count()) <= neighbourliness:
-            continue
-        if (engine.restriction(subset_i).is_cone
-                or engine.restriction(subset_j).is_cone
-                or engine.restriction(subset_i | subset_j).is_cone):
-            continue
-        failing = {}
-        for c in coeffs:
-            induced = engine.induced_map(subset_i, subset_j, c)
-            if not induced.is_zero:
-                failing[c] = induced
-        if failing:
-            first = next(iter(failing))
-            certificate = NullCertificate(
-                "NotNull",
-                obstruction=(first, failing[first].nonzero_degrees()[0]))
-            induced_all = {c: engine.induced_map(subset_i, subset_j, c)
-                           for c in coeffs}
-            witnesses.append(PairReport(subset_i, subset_j,
-                                        induced_all, certificate))
+    witnesses = [engine.report(subset_i, subset_j, battery, certificate)
+                 for subset_i, subset_j, certificate
+                 in engine.certificates(battery)
+                 if certificate.verdict == "NotNull"]
     return not witnesses, witnesses
 
 
@@ -328,16 +321,14 @@ def splitting_verdict(complex):
     model.  Anything else is Inconclusive, listing the pairs that
     resisted certification.
     """
-    _check_pair_scan(complex)
-    hypothesis = complex.is_third_neighbourly
     engine = _PairEngine(complex)
+    stream = engine.certificates(DEFAULT_BATTERY)
+    hypothesis = complex.is_third_neighbourly
     unknown = []
-    for subset_i, subset_j in iter_disjoint_pairs(complex.n):
-        certificate = _certificate(engine, subset_i, subset_j)
+    for subset_i, subset_j, certificate in stream:
         if certificate.verdict == "NotNull":
-            induced = {c: engine.induced_map(subset_i, subset_j, c)
-                       for c in DEFAULT_BATTERY}
-            witness = PairReport(subset_i, subset_j, induced, certificate)
+            witness = engine.report(subset_i, subset_j, DEFAULT_BATTERY,
+                                    certificate)
             return TheoremVerdict(hypothesis, "NotCoH", witness=witness)
         if certificate.verdict == "Unknown":
             unknown.append((subset_i, subset_j))
@@ -392,17 +383,14 @@ def cup_product(complex, field, class_i, class_j):
     engine = _PairEngine(complex)
     p, q = class_i.degree, class_j.degree
     union = class_i.subset_mask | class_j.subset_mask
-    target = engine.calculator(engine.restriction(union),
-                               ("sub", union), field)
+    target = engine.calculator(union, field)
     target_orders = target.orders(p + q + 1) if p + q + 1 <= max(
         target.complex.dim, -1) else ()
     zero = SummandClass(union, p + q + 1, (0,) * len(target_orders))
     if class_i.subset_mask & class_j.subset_mask:
         return zero
-    calc_i = engine.calculator(engine.restriction(class_i.subset_mask),
-                               ("sub", class_i.subset_mask), field)
-    calc_j = engine.calculator(engine.restriction(class_j.subset_mask),
-                               ("sub", class_j.subset_mask), field)
+    calc_i = engine.calculator(class_i.subset_mask, field)
+    calc_j = engine.calculator(class_j.subset_mask, field)
     for calc, cls in ((calc_i, class_i), (calc_j, class_j)):
         if len(cls.coords) != len(calc.orders(cls.degree)):
             raise ValueError("class coordinate length does not match the "

@@ -427,7 +427,8 @@ def connectivity_certificate(complex):
     """Largest c with H̃_i(ZZ) = 0 for all i <= c, plus a provenance flag.
 
     Cones are contractible, giving (inf, "topological") outright.
-    Otherwise integral homology is scanned upward from degree -1.  The
+    Otherwise integral homology is scanned upward from the bottom of
+    ``homology_degree_window``, below which it provably vanishes.  The
     flag is "topological" when the complex contains the full 2-skeleton
     on its support: that forces simple connectivity, so the Hurewicz
     theorem promotes vanishing homology to vanishing homotopy.  With
@@ -437,8 +438,9 @@ def connectivity_certificate(complex):
         return math.inf, "topological"
     flag = ("topological" if complex.support_neighbourliness >= 3
             else "homology-only")
-    groups = reduced_homology(complex, "Z")
-    for d in range(-1, complex.dim + 1):
+    lo, hi = homology_degree_window(complex)
+    groups = reduced_homology(complex, "Z", (lo, hi))
+    for d in range(lo, hi + 1):
         if not groups[d].is_zero:
             return d - 1, flag
     return math.inf, flag

@@ -189,9 +189,12 @@ def test_faces_closed_downward_property():
 def test_neighbourliness_definition_matches_scan():
     import itertools
     rng = seeded(42)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        K = random_antichain_complex(rng, n)
+    corpus = [random_antichain_complex(rng, rng.randint(1, 6))
+              for _ in range(40)]
+    # n = 0, and a filled triangle beside a ghost vertex
+    corpus += [SimplicialComplex(0), new_complex(4, [[1, 2, 3]])]
+    for K in corpus:
+        n = K.n
         k = K.neighbourliness
         for size in range(1, k + 1):
             for combo in itertools.combinations(range(1, n + 1), size):

@@ -27,6 +27,7 @@ from momentangle import (
 )
 from momentangle import golod
 from momentangle.golod import (
+    DEFAULT_BATTERY,
     MAX_PAIR_VERTICES,
     NullCertificate,
     SummandClass,
@@ -71,6 +72,18 @@ def test_pair_scans_refuse_complexes_above_the_cap():
     for scan in (splitting_verdict, pair_certificates, cup_products_vanish):
         with pytest.raises(ValueError, match="at most 12"):
             scan(K)
+
+
+def test_single_pair_calls_walk_no_subsets():
+    # the size test belongs to the pair walk; a single pair is settled by
+    # its cone test, so a 40-vertex complex costs nothing here
+    one, two = vertex_mask([1]), vertex_mask([2])
+    for K, certify in ((simplex(40), null_certificate),
+                       (simplex(40), lambda *pair: iota_pair(*pair).certificate),
+                       (boundary_simplex(40), null_certificate)):
+        cert = certify(K, one, two)
+        assert (cert.verdict, cert.reason) == ("Null", "TargetContractible")
+        assert "neighbourliness" not in vars(K)
 
 
 def test_certificate_reasons_on_named_pairs():
@@ -193,11 +206,9 @@ def test_pair_certificates_consistency():
         vanish, witnesses = cup_products_vanish(K)
         has_notnull = any(c.verdict == "NotNull" for _, _, c in triples)
         assert vanish == (not has_notnull)
-        if witnesses:
-            reported = {(w.subset_i, w.subset_j) for w in witnesses}
-            flagged = {(i, j) for i, j, c in triples
-                       if c.verdict == "NotNull"}
-            assert flagged <= reported
+        reported = {(w.subset_i, w.subset_j) for w in witnesses}
+        flagged = {(i, j) for i, j, c in triples if c.verdict == "NotNull"}
+        assert flagged == reported
 
 
 def test_zero_integral_map_forces_zero_rational_map():
@@ -208,8 +219,9 @@ def test_zero_integral_map_forces_zero_rational_map():
     for K in oracle_corpus() + neighbourly_verdict_corpus(seeded(404)):
         engine = _PairEngine(K)
         for i, j in iter_disjoint_pairs(K.n):
-            # the size test is the certificate's first check, inlined so
-            # the 12-vertex complexes' 261,625 pairs stay cheap
+            # the pair walk's size test, inlined so the 12-vertex
+            # complexes' 261,625 pairs stay cheap; _certificate alone
+            # settles those pairs by its slower cone test
             if (min(i.bit_count(), j.bit_count()) <= K.neighbourliness
                     or _certificate(engine, i, j, battery=()).verdict == "Null"):
                 continue
@@ -258,6 +270,46 @@ def test_rational_check_skipped_only_after_integral(monkeypatch):
             assert ("Q" in built) == builds_q
             assert [(i, j, c.as_dict()) for i, j, c in got] == \
                 _explicit_certificates(K, battery)
+
+
+def _cup_products_vanish_by_maps(K, battery):
+    """The route before the certificate stream: skip pairs whose join or
+    source is a cone, compute every battery map of the others, and flag
+    a pair when any map is nonzero."""
+    engine = _PairEngine(K)
+    witnesses = []
+    for i, j in iter_disjoint_pairs(K.n):
+        if min(i.bit_count(), j.bit_count()) <= K.neighbourliness:
+            continue
+        if any(engine.restriction(m).is_cone for m in (i, j, i | j)):
+            continue
+        maps = {c: engine.induced_map(i, j, c) for c in battery}
+        failing = [c for c in battery if not maps[c].is_zero]
+        if failing:
+            certificate = NullCertificate("NotNull", obstruction=(
+                failing[0], maps[failing[0]].nonzero_degrees()[0]))
+            witnesses.append((i, j, certificate.as_dict(), {
+                c: m.nonzero_degrees() for c, m in maps.items()}))
+    return not witnesses, witnesses
+
+
+def test_cup_products_vanish_matches_all_maps_route():
+    corpus = [K for K in oracle_corpus() if K.n <= 5]
+    corpus += [random_complex(n, floor, density, seed)
+               for n, floor, density in ((6, 0, 0.2), (6, 0, 0.5), (6, 1, 0.5),
+                                         (7, 0, 0.2), (7, 0, 0.5))
+               for seed in range(6)]
+    batteries = (DEFAULT_BATTERY, ("Q", "Z", "F2"), ("F3", "Z"))
+    flagged = 0
+    for index, K in enumerate(corpus):
+        battery = batteries[index % len(batteries)]
+        vanish, witnesses = cup_products_vanish(K, battery)
+        got = [(w.subset_i, w.subset_j, w.certificate.as_dict(),
+                {c: m.nonzero_degrees() for c, m in w.induced.items()})
+               for w in witnesses]
+        assert (vanish, got) == _cup_products_vanish_by_maps(K, battery)
+        flagged += len(witnesses)
+    assert flagged > 1000
 
 
 def test_verdicts_invariant_under_relabeling():

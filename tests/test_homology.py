@@ -345,6 +345,36 @@ def test_connectivity_certificates():
     assert connectivity_certificate(sphere3) == (2, "topological")
 
 
+def _connectivity_full_range(K):
+    """Connectivity scanned over every degree from -1, no window."""
+    if K.is_cone:
+        return math.inf, "topological"
+    flag = "topological" if K.support_neighbourliness >= 3 else "homology-only"
+    groups = reduced_homology(K, "Z")
+    for d in range(-1, K.dim + 1):
+        if not groups[d].is_zero:
+            return d - 1, flag
+    return math.inf, flag
+
+
+def test_connectivity_window_matches_full_range():
+    rng = seeded(606)
+    corpus = [random_antichain_complex(rng, rng.randint(1, 6))
+              for _ in range(60)]
+    corpus += [random_complex(n, floor, density, seed)
+               for n in (6, 7) for floor in (1, 2, 3)
+               for density in (0.3, 0.7) for seed in (1, 2)]
+    corpus += [full_skeleton(n, k) for n in range(2, 8) for k in range(n)]
+    corpus += [fixture_complex("rp2.json"), single_non_face(7, 4)]
+    checked = 0
+    for K in corpus:
+        for mask in range(1 << K.n):
+            sub = K.restriction(mask << 1)
+            assert connectivity_certificate(sub) == _connectivity_full_range(sub)
+            checked += 1
+    assert checked > 5000
+
+
 def test_homology_group_semantics():
     g = HomologyGroup(2, (2, 4))
     assert not g.is_zero
