@@ -12,6 +12,7 @@ from momentangle.clusters import (
     PartitionedSmashPoint,
     SuspensionPoint,
     anchored,
+    cluster_radii,
     cluster_radius,
     contract_toward_center,
     damped_coordinate,
@@ -30,6 +31,7 @@ from momentangle.clusters import (
     radial_gauge,
     radial_gauge_inverse,
     split_center,
+    split_tags,
     tagging_homotopy,
     tagging_map,
 )

@@ -28,7 +28,11 @@ from .complexes import (
 )
 from .golod import pair_certificates, splitting_verdict
 from .homology import DEFAULT_BATTERY, parse_coefficients
-from .hochster import hochster_decomposition, series_from_decomposition
+from .hochster import (
+    MAX_DECOMPOSITION_VERTICES,
+    hochster_decomposition,
+    series_from_decomposition,
+)
 from .verify import find_tagging_violation, homotopy_report, split_region_report
 
 SCHEMA_VERSION = 2
@@ -93,6 +97,10 @@ def _report(command, config, body):
 
 def _cmd_analyze(args):
     complex = _load_complex(args.input)
+    # the face count and the neighbourliness walk every vertex subset
+    if complex.n > MAX_DECOMPOSITION_VERTICES:
+        raise ValueError(f"analyze needs at most {MAX_DECOMPOSITION_VERTICES} "
+                         f"vertices (it walks all 2^n subsets)")
     body = {
         "n": complex.n,
         "dim": complex.dim,

@@ -11,6 +11,13 @@ product, its per-split factors, the pinch map that routes a point to the
 unique split region containing it, and the straight-line homotopy tying
 the tagging map to the pinched composite.
 
+Two shortcuts keep the pointwise work small.  A block's cluster radii all
+come from one sort of the block (:func:`cluster_radii`).  A point's split
+regions are found from the cuts of its sorted anchored coordinates
+(:func:`split_tags`): a region's high block sits strictly above its low
+block, so only the at most ``n - 1`` cuts between unequal values can be
+tags, and the ``2^n`` balanced splits are never scanned per point.
+
 No floating point and no approximation is used anywhere: membership
 predicates and the gauge are exact.
 """
@@ -65,34 +72,52 @@ def anchored(y):
 # cluster statistics
 
 
-def cluster_radius(z, subset_mask, i):
-    """Distance from ``z_i`` to the ``m``-th nearest other coordinate.
+def cluster_radii(z, subset_mask):
+    """Every member's distance to its ``m``-th nearest other block member.
 
-    The block is ``subset_mask``, distances are taken to the other members
-    of the block, and ``m = len(z) // 3``.  When the block holds fewer
-    than ``m`` other members (or ``m`` is zero) the radius is zero, the
-    empty-minimum convention.
+    Returns ``{vertex: radius}`` over the block, with ``m = len(z) // 3``.
+    When the block holds fewer than ``m`` other members (or ``m`` is zero)
+    every radius is zero, the empty-minimum convention.  The block is
+    sorted once; a member's ``m`` nearest others are then the first ``m``
+    steps of a walk outward from it, each step taking the nearer of the
+    next value below and the next value above.
     """
-    bit = 1 << i
-    if not subset_mask & bit:
-        raise ValueError(f"vertex {i} is not in the block")
     z = rational_point(z)
     m = len(z) // 3
-    if m == 0:
-        return _ZERO
-    gaps = sorted(abs(z[i - 1] - z[j - 1]) for j in mask_vertices(subset_mask ^ bit))
-    if len(gaps) < m:
-        return _ZERO
-    return gaps[m - 1]
+    members = sorted(mask_vertices(subset_mask), key=lambda v: z[v - 1])
+    if m == 0 or len(members) <= m:
+        return dict.fromkeys(members, _ZERO)
+    values = [z[v - 1] for v in members]
+    size = len(values)
+    radii = {}
+    for p, here in enumerate(values):
+        left, right = p - 1, p + 1
+        below = here - values[left] if left >= 0 else None
+        above = values[right] - here if right < size else None
+        for _ in range(m):
+            if above is None or (below is not None and below <= above):
+                gap, left = below, left - 1
+                below = here - values[left] if left >= 0 else None
+            else:
+                gap, right = above, right + 1
+                above = values[right] - here if right < size else None
+        radii[members[p]] = gap
+    return radii
+
+
+def cluster_radius(z, subset_mask, i):
+    """Distance from ``z_i`` to the ``m``-th nearest other block member.
+
+    One entry of :func:`cluster_radii`.
+    """
+    if not subset_mask & (1 << i):
+        raise ValueError(f"vertex {i} is not in the block")
+    return cluster_radii(z, subset_mask)[i]
 
 
 def max_cluster_radius(z, subset_mask):
     """Largest cluster radius over the members of the block."""
-    z = rational_point(z)
-    return max(
-        (cluster_radius(z, subset_mask, i) for i in mask_vertices(subset_mask)),
-        default=_ZERO,
-    )
+    return max(cluster_radii(z, subset_mask).values(), default=_ZERO)
 
 
 def normalized_spread(z):
@@ -189,11 +214,38 @@ def in_split_region(y, low_mask, high_mask):
     )
     if gap <= spread:
         return False
-    if any(cluster_radius(z, low_mask, i) >= spread for i in mask_vertices(low_mask)):
-        return False
     return all(
-        cluster_radius(z, high_mask, j) < spread for j in mask_vertices(high_mask)
+        radius < spread
+        for block in (low_mask, high_mask)
+        for radius in cluster_radii(z, block).values()
     )
+
+
+def split_tags(y):
+    """The ordered splits whose regions contain ``y``, sorted by low mask.
+
+    A region point's high block sits strictly above its low block, so the
+    low block is a prefix of the anchored point's sorted vertices that
+    ends between two unequal values and leaves more than ``n/3`` vertices
+    on each side.  Each such cut (at most ``n - 1``) is confirmed with
+    :func:`in_split_region`.  The regions are disjoint, so a point has at
+    most one tag; more than one would be an overlap.
+    """
+    y = rational_point(y)
+    _require_open_cube(y)
+    n = len(y) + 1
+    z = anchored(y)
+    order = sorted(range(1, n + 1), key=lambda v: z[v - 1])
+    everything = full_mask(n)
+    tags = []
+    low = 0
+    for k, (v, w) in enumerate(zip(order, order[1:]), start=1):
+        low |= 1 << v
+        high = everything ^ low
+        if 3 * k > n and 3 * (n - k) > n and z[v - 1] < z[w - 1]:
+            if in_split_region(y, low, high):
+                tags.append((low, high))
+    return sorted(tags)
 
 
 def split_center(low_mask, high_mask, n):
@@ -249,8 +301,8 @@ def _gauge_radius(low_mask, high_mask, direction):
     conditions = [(_HALF - _HALF / n, min(high) - max(low) - spread_slope)]
     for block in (low_mask, high_mask):
         conditions.extend(
-            (_HALF / n, spread_slope - cluster_radius(u, block, i))
-            for i in mask_vertices(block)
+            (_HALF / n, spread_slope - radius)
+            for radius in cluster_radii(u, block).values()
         )
     cube_exit = min(
         (_ONE - bk) / uk if uk > 0 else (-_ONE - bk) / uk
@@ -507,12 +559,10 @@ def _damping_factors(z):
     spread = normalized_spread(z)
     if spread == 0:
         raise ValueError("damping undefined on a constant anchor")
-    everything = full_mask(len(z))
-    factors = []
-    for i in range(1, len(z) + 1):
-        radius = cluster_radius(z, everything, i)
-        factors.append(max(_ZERO, (spread - radius) / spread))
-    return tuple(factors)
+    radii = cluster_radii(z, full_mask(len(z)))
+    return tuple(
+        max(_ZERO, (spread - radii[i]) / spread) for i in range(1, len(z) + 1)
+    )
 
 
 def damped_coordinate(z, i, x_i):
@@ -617,16 +667,17 @@ def pinch_map(y):
 
     Returns ``None`` (the wedge basepoint) when no region contains the
     point, otherwise ``((low, high), gauge)`` with the region's ordered
-    split and the gauged cube point.  Disjointness of the regions makes
-    the first hit the only one.
+    split and the gauged cube point.  The region comes from
+    :func:`split_tags`, so only the sorted point's cuts are tested, never
+    all balanced splits; disjointness of the regions makes its first tag
+    the only one.
     """
     y = rational_point(y)
-    _require_open_cube(y)
-    n = len(y) + 1
-    for low, high in enumerate_balanced_splits(n):
-        if in_split_region(y, low, high):
-            return (low, high), radial_gauge(low, high, y)
-    return None
+    tags = split_tags(y)
+    if not tags:
+        return None
+    low, high = tags[0]
+    return (low, high), radial_gauge(low, high, y)
 
 
 def pinch_on_suspension(complex, omega):

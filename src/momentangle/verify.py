@@ -7,6 +7,10 @@ in the radial gauge.  This module supplies the samplers, two aggregate
 report builders used by the command line, and a deterministic constructor
 for a tagging-map membership violation on complexes where some small
 vertex set fails to be a face.
+
+A sample's region tags come from :func:`~momentangle.clusters.split_tags`,
+which tests only the cuts of the sorted point, and every cluster radius
+of a block from one sort (:func:`~momentangle.clusters.cluster_radii`).
 """
 
 import random
@@ -16,7 +20,7 @@ from .clusters import (
     MembershipViolation,
     SuspensionPoint,
     anchored,
-    cluster_radius,
+    cluster_radii,
     contract_toward_center,
     enumerate_balanced_splits,
     factor_tagging_map,
@@ -27,6 +31,7 @@ from .clusters import (
     radial_gauge,
     radial_gauge_inverse,
     split_center,
+    split_tags,
     tagging_homotopy,
     tagging_map,
 )
@@ -110,9 +115,7 @@ def split_region_report(n, samples, seed):
             y = sample_near(rng, centers[rng.randrange(len(centers))], spread)
         else:
             y = sample_open_cube(rng, n - 1)
-        tags = [
-            (low, high) for low, high in splits if in_split_region(y, low, high)
-        ]
+        tags = split_tags(y)
         clustered = in_cluster_region(y)
         if clustered:
             report["in_cluster"] += 1
@@ -138,8 +141,7 @@ def _retraction_holds(y, low, high, n, times):
     """Contraction closure plus the exact spread/radius scaling laws."""
     z = anchored(y)
     spread = normalized_spread(z)
-    low_radii = {i: cluster_radius(z, low, i) for i in mask_vertices(low)}
-    high_radii = {j: cluster_radius(z, high, j) for j in mask_vertices(high)}
+    radii = [cluster_radii(z, block) for block in (low, high)]
     for t in times:
         yt = contract_toward_center(y, low, high, t)
         if not in_split_region(yt, low, high):
@@ -147,11 +149,9 @@ def _retraction_holds(y, low, high, n, times):
         zt = anchored(yt)
         if normalized_spread(zt) != (1 - t) * spread + t * Fraction(1, 2 * n):
             return False
-        for i, radius in low_radii.items():
-            if cluster_radius(zt, low, i) != (1 - t) * radius:
-                return False
-        for j, radius in high_radii.items():
-            if cluster_radius(zt, high, j) != (1 - t) * radius:
+        for block, before in zip((low, high), radii):
+            scaled = {v: (1 - t) * radius for v, radius in before.items()}
+            if cluster_radii(zt, block) != scaled:
                 return False
     return True
 

@@ -194,6 +194,9 @@ def test_exit_codes(capsys, tmp_path):
     for argv in (("theorem", big), ("golod", big, "--coeffs", "Z")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and "at most 12" in err
+    # analyze beyond the subset-scan cap, refused before any property is read
+    code, out, err = run_cli(capsys, "analyze", big)
+    assert code == 1 and out == "" and "at most 20" in err
     # a facet naming one vertex twice
     repeated = write_complex(tmp_path, "repeated.json", 2, [[1, 1]])
     assert run_cli(capsys, "analyze", repeated)[0] == 1

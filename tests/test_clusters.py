@@ -9,6 +9,7 @@ from momentangle import (
     PartitionedSmashPoint,
     SuspensionPoint,
     anchored,
+    cluster_radii,
     cluster_radius,
     contract_toward_center,
     cycle_complex,
@@ -20,6 +21,7 @@ from momentangle import (
     in_partitioned_smash,
     in_smashed_complex,
     in_split_region,
+    mask_vertices,
     max_cluster_radius,
     new_complex,
     normalized_spread,
@@ -31,10 +33,12 @@ from momentangle import (
     radial_gauge_inverse,
     single_non_face,
     split_center,
+    split_tags,
     tagging_homotopy,
     tagging_map,
     vertex_mask,
 )
+from momentangle import clusters
 from momentangle.clusters import (
     MAX_SPLIT_VERTICES,
     _gauge_radius,
@@ -43,7 +47,13 @@ from momentangle.clusters import (
 )
 from momentangle.verify import sample_near, sample_open_cube, sample_smash_payload
 
-from util import load_fixture, fixture_complex, seeded
+from util import (
+    brute_split_tags,
+    fixture_complex,
+    load_fixture,
+    per_vertex_cluster_radius,
+    seeded,
+)
 
 F = Fraction
 
@@ -120,9 +130,102 @@ def test_cluster_region_membership():
 
 
 def test_split_region_unique_tag_on_worked_example():
-    splits = enumerate_balanced_splits(4)
-    tags = [s for s in splits if in_split_region(WORKED_Y, *s)]
-    assert tags == [(vertex_mask([1, 2]), vertex_mask([3, 4]))]
+    tags = brute_split_tags(WORKED_Y)
+    assert tags == split_tags(WORKED_Y) == [(vertex_mask([1, 2]), vertex_mask([3, 4]))]
+
+
+def tag_sample_points():
+    """Seeded cube points for n = 2..9 of four kinds.
+
+    Uniform points, points near split centers, exact split centers, and
+    quarter-grid points, whose coordinates tie often.
+    """
+    rng = seeded(606)
+    points = []
+    for n in range(2, 10):
+        splits = enumerate_balanced_splits(n)
+        centers = [split_center(low, high, n) for low, high in splits]
+        for _ in range(30):
+            points.append(sample_open_cube(rng, n - 1))
+            points.append(tuple(F(rng.randint(-3, 3), 4) for _ in range(n - 1)))
+            if centers:
+                points.append(centers[rng.randrange(len(centers))])
+                points.append(sample_near(rng, centers[rng.randrange(len(centers))],
+                                          F(1, 4 * n)))
+    return points
+
+
+def test_split_tags_and_pinch_map_match_brute_scan():
+    counts = {0: 0, 1: 0}
+    for y in tag_sample_points():
+        brute = brute_split_tags(y)
+        assert split_tags(y) == brute, y
+        counts[len(brute)] += 1
+        routed = pinch_map(y)
+        if not brute:
+            assert routed is None
+        else:
+            assert routed == (brute[0], radial_gauge(*brute[0], y))
+    assert counts[0] > 100 and counts[1] > 100
+
+
+def test_split_tags_cuts_on_a_third():
+    half = F(1, 2)
+    # a cut leaving exactly n/3 vertices on one side is not a balanced split
+    for n in (3, 6, 9):
+        third = n // 3
+        low_third = (-half,) * third + (F(0),) * (n - 1 - third)
+        high_third = (F(0),) * (n - 1 - third) + (half,) * third
+        for y in (low_third, high_third):
+            assert split_tags(y) == brute_split_tags(y) == []
+    # one vertex more on the small side is balanced, and tagged
+    y = (-half,) * 4 + (F(0),) * 4
+    assert split_tags(y) == brute_split_tags(y) == [
+        (vertex_mask([1, 2, 3, 4]), vertex_mask(range(5, 10)))]
+    # the shortcut never enumerates splits, so it has no vertex cap
+    low, high = vertex_mask(range(1, 8)), vertex_mask(range(8, 21))
+    assert split_tags(split_center(low, high, 20)) == [(low, high)]
+
+
+def test_split_tags_confirms_only_strict_cuts(monkeypatch):
+    seen = []
+    confirm = clusters.in_split_region
+
+    def spy(y, low, high):
+        seen.append((anchored(y), low, high))
+        return confirm(y, low, high)
+
+    monkeypatch.setattr(clusters, "in_split_region", spy)
+    rng = seeded(808)
+    for n in range(2, 10):
+        for _ in range(20):
+            y = tuple(F(rng.randint(-2, 2), 4) for _ in range(n - 1))
+            seen.clear()
+            split_tags(y)
+            assert len(seen) <= n - 1
+            for z, low, high in seen:
+                assert max(z[i - 1] for i in mask_vertices(low)) < \
+                    min(z[j - 1] for j in mask_vertices(high))
+
+
+def test_cluster_radii_match_per_vertex_rule():
+    rng = seeded(707)
+    sizes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        denominator = rng.choice((1, 2, 4, 2**20))
+        top = 4 * denominator
+        z = tuple(F(rng.randint(-top, top), denominator) for _ in range(n))
+        block = vertex_mask(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        radii = cluster_radii(z, block)
+        assert radii == {i: per_vertex_cluster_radius(z, block, i)
+                         for i in mask_vertices(block)}
+        for i in mask_vertices(block):
+            assert cluster_radius(z, block, i) == radii[i]
+        assert max_cluster_radius(z, block) == max(radii.values(), default=0)
+        sizes.add((n // 3, min(block.bit_count(), n // 3 + 1)))
+    # m = 0, and blocks below, at and above m + 1 members, all occur
+    assert {(0, 0), (0, 1), (2, 1), (2, 2), (2, 3), (4, 4), (4, 5)} <= sizes
 
 
 def test_split_region_validation():

@@ -4,8 +4,15 @@ import itertools
 import json
 import pathlib
 import random
+from fractions import Fraction
 
-from momentangle import SimplicialComplex, new_complex
+from momentangle import (
+    SimplicialComplex,
+    enumerate_balanced_splits,
+    in_split_region,
+    mask_vertices,
+    new_complex,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -63,3 +70,23 @@ def random_antichain_complex(rng, n, max_facets=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ----------------------------------------------------------------------
+# slow-path oracles for the cluster shortcuts
+
+
+def brute_split_tags(y):
+    """The tags of a cube point by testing every balanced split."""
+    n = len(y) + 1
+    return [s for s in enumerate_balanced_splits(n) if in_split_region(y, *s)]
+
+
+def per_vertex_cluster_radius(z, subset_mask, i):
+    """One member's cluster radius: sort its gaps, take the m-th."""
+    m = len(z) // 3
+    gaps = sorted(abs(z[i - 1] - z[j - 1])
+                  for j in mask_vertices(subset_mask ^ (1 << i)))
+    if m == 0 or len(gaps) < m:
+        return Fraction(0)
+    return gaps[m - 1]
