@@ -31,6 +31,7 @@ from momentangle.clusters import (
     radial_gauge,
     radial_gauge_inverse,
     split_center,
+    split_region_statistics,
     split_tags,
     tagging_homotopy,
     tagging_map,

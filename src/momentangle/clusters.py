@@ -17,6 +17,9 @@ regions are found from the cuts of its sorted anchored coordinates
 (:func:`split_tags`): a region's high block sits strictly above its low
 block, so only the at most ``n - 1`` cuts between unequal values can be
 tags, and the ``2^n`` balanced splits are never scanned per point.
+The region test (:func:`split_region_statistics`) also hands back the
+spread and radii it computed, one ray routine serves the gauge both ways,
+and every smashed-model evaluator opens with the same validation.
 
 No floating point and no approximation is used anywhere: membership
 predicates and the gauge are exact.
@@ -80,9 +83,12 @@ def cluster_radii(z, subset_mask):
     every radius is zero, the empty-minimum convention.  The block is
     sorted once; a member's ``m`` nearest others are then the first ``m``
     steps of a walk outward from it, each step taking the nearer of the
-    next value below and the next value above.
+    next value below and the next value above.  A block holding anything
+    but vertices ``1..len(z)`` is refused.
     """
     z = rational_point(z)
+    if subset_mask & ~full_mask(len(z)):
+        raise ValueError(f"block must hold only vertices 1..{len(z)}")
     m = len(z) // 3
     members = sorted(mask_vertices(subset_mask), key=lambda v: z[v - 1])
     if m == 0 or len(members) <= m:
@@ -196,12 +202,15 @@ def in_cluster_region(y):
     return max_cluster_radius(z, full_mask(len(z))) < normalized_spread(z)
 
 
-def in_split_region(y, low_mask, high_mask):
-    """Exact membership in the split region attached to an ordered split.
+def split_region_statistics(y, low_mask, high_mask):
+    """The region statistics of ``y``, or ``None`` outside the region.
 
     The extended point must clear three strict tests: the blocks are
     separated by more than the spread (cheap, checked first), and inside
-    each block every cluster radius stays below the spread.
+    each block every cluster radius stays below the spread (one block at
+    a time, so a failing low block spares the high block's radii).  A
+    point inside gets back ``(spread, low_radii, high_radii)``, the radii
+    as :func:`cluster_radii` gives them.
     """
     y = rational_point(y)
     _require_open_cube(y)
@@ -213,12 +222,18 @@ def in_split_region(y, low_mask, high_mask):
         z[i - 1] for i in mask_vertices(low_mask)
     )
     if gap <= spread:
-        return False
-    return all(
-        radius < spread
-        for block in (low_mask, high_mask)
-        for radius in cluster_radii(z, block).values()
-    )
+        return None
+    radii = []
+    for block in (low_mask, high_mask):
+        radii.append(cluster_radii(z, block))
+        if any(radius >= spread for radius in radii[-1].values()):
+            return None
+    return spread, radii[0], radii[1]
+
+
+def in_split_region(y, low_mask, high_mask):
+    """Exact membership in the split region attached to an ordered split."""
+    return split_region_statistics(y, low_mask, high_mask) is not None
 
 
 def split_tags(y):
@@ -280,10 +295,12 @@ def contract_toward_center(y, low_mask, high_mask, t):
 # radial gauge
 
 
-def _gauge_radius(low_mask, high_mask, direction):
-    """Exact exit radius of the region ray from the center.
+def _gauge_radius(low_mask, high_mask, offset):
+    """Exact exit radius of the region ray from the center through ``offset``.
 
-    ``direction`` is a max-norm unit vector ``u``, anchored by a 0.  Each
+    The one ray routine of the gauge and its inverse.  ``offset`` is a
+    nonzero step from the center; the radius is measured along its
+    max-norm unit direction ``u``, anchored by a 0.  Each
     block is constant at the center, so along ``center + r·u`` the gap is
     ``1/2 + r·G``, each cluster radius is ``r·ρ_i`` and, while the high
     block stays above the low one, ``n·spread`` is ``1/2 + r·S``.
@@ -292,7 +309,9 @@ def _gauge_radius(low_mask, high_mask, direction):
     or the cube exit if that comes first.  Every point before it lies in
     the region, the point at it does not.
     """
-    n = len(direction) + 1
+    n = len(offset) + 1
+    norm = max(abs(c) for c in offset)
+    direction = tuple(c / norm for c in offset)
     center = split_center(low_mask, high_mask, n)
     u = anchored(direction)
     low = [u[i - 1] for i in mask_vertices(low_mask)]
@@ -324,11 +343,9 @@ def radial_gauge(low_mask, high_mask, y):
         raise ValueError("point is outside the split region")
     center = split_center(low_mask, high_mask, len(y) + 1)
     offset = tuple(yk - bk for yk, bk in zip(y, center))
-    norm = max(abs(u) for u in offset)
-    if norm == 0:
+    if not any(offset):
         return offset
-    direction = tuple(u / norm for u in offset)
-    radius = _gauge_radius(low_mask, high_mask, direction)
+    radius = _gauge_radius(low_mask, high_mask, offset)
     return tuple(u / radius for u in offset)
 
 
@@ -343,11 +360,9 @@ def radial_gauge_inverse(low_mask, high_mask, w):
     n = len(w) + 1
     _validate_split(low_mask, high_mask, n)
     center = split_center(low_mask, high_mask, n)
-    norm = max(abs(c) for c in w)
-    if norm == 0:
+    if not any(w):
         return center
-    direction = tuple(c / norm for c in w)
-    radius = _gauge_radius(low_mask, high_mask, direction)
+    radius = _gauge_radius(low_mask, high_mask, w)
     return tuple(bk + ck * radius for bk, ck in zip(center, w))
 
 
@@ -363,11 +378,15 @@ def _interior_support(payload):
     return mask
 
 
+def _require_payload_range(payload):
+    if any(not -_ONE <= c <= _ONE for c in payload):
+        raise ValueError("payload coordinates must lie in [-1, 1]")
+
+
 def _validate_payload(complex, payload):
     if len(payload) != complex.n:
         raise ValueError("payload length must match the vertex count")
-    if any(not -_ONE <= c <= _ONE for c in payload):
-        raise ValueError("payload coordinates must lie in [-1, 1]")
+    _require_payload_range(payload)
 
 
 def in_smashed_complex(complex, payload):
@@ -416,7 +435,62 @@ def in_partitioned_smash(complex, anchor, payload):
 # points of suspensions
 
 
-class SuspensionPoint:
+class _SuspendedPoint:
+    """Collapse, equality, hash and repr shared by the suspended points.
+
+    A subclass lists its constructor fields (payload last) in ``_FIELDS``,
+    their basepoint values in ``_COLLAPSED``, and in ``_ends()`` the
+    suspension coordinates that collapse the point at an end of [-1, 1].
+    """
+
+    __slots__ = ("payload", "_collapsed")
+
+    def __init__(self, payload, ends_name):
+        self.payload = rational_point(payload)
+        if any(abs(t) > 1 for t in self._ends()):
+            raise ValueError(f"{ends_name} must lie in [-1, 1]")
+        _require_payload_range(self.payload)
+        self._collapsed = False
+
+    @classmethod
+    def basepoint(cls):
+        point = cls.__new__(cls)
+        for field, value in zip(cls._FIELDS, cls._COLLAPSED):
+            setattr(point, field, value)
+        point._collapsed = True
+        return point
+
+    @property
+    def is_basepoint(self):
+        return (
+            self._collapsed
+            or any(abs(t) == 1 for t in self._ends())
+            or any(c == -1 for c in self.payload)
+        )
+
+    def _values(self):
+        return tuple(getattr(self, field) for field in self._FIELDS)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.is_basepoint or other.is_basepoint:
+            return self.is_basepoint and other.is_basepoint
+        return self._values() == other._values()
+
+    def __hash__(self):
+        if self.is_basepoint:
+            return hash(type(self).__name__)
+        return hash(self._values())
+
+    def __repr__(self):
+        name = type(self).__name__
+        if self.is_basepoint:
+            return f"{name}.basepoint()"
+        return f"{name}({', '.join(repr(v) for v in self._values())})"
+
+
+class SuspensionPoint(_SuspendedPoint):
     """A point of an iterated suspension: cube parameters over a payload.
 
     Parameters live in [-1, 1]; hitting an end collapses the point, as
@@ -425,52 +499,19 @@ class SuspensionPoint:
     collapsed representative.
     """
 
-    __slots__ = ("params", "payload", "_collapsed")
+    __slots__ = ("params",)
+    _FIELDS = ("params", "payload")
+    _COLLAPSED = ((), ())
 
     def __init__(self, params, payload):
         self.params = rational_point(params)
-        self.payload = rational_point(payload)
-        if any(abs(t) > 1 for t in self.params):
-            raise ValueError("suspension parameters must lie in [-1, 1]")
-        if any(not -_ONE <= c <= _ONE for c in self.payload):
-            raise ValueError("payload coordinates must lie in [-1, 1]")
-        self._collapsed = False
+        super().__init__(payload, "suspension parameters")
 
-    @classmethod
-    def basepoint(cls):
-        point = cls.__new__(cls)
-        point.params = ()
-        point.payload = ()
-        point._collapsed = True
-        return point
-
-    @property
-    def is_basepoint(self):
-        return (
-            self._collapsed
-            or any(abs(t) == 1 for t in self.params)
-            or any(c == -1 for c in self.payload)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SuspensionPoint):
-            return NotImplemented
-        if self.is_basepoint or other.is_basepoint:
-            return self.is_basepoint and other.is_basepoint
-        return self.params == other.params and self.payload == other.payload
-
-    def __hash__(self):
-        if self.is_basepoint:
-            return hash("suspension-basepoint")
-        return hash((self.params, self.payload))
-
-    def __repr__(self):
-        if self.is_basepoint:
-            return "SuspensionPoint.basepoint()"
-        return f"SuspensionPoint({self.params!r}, {self.payload!r})"
+    def _ends(self):
+        return self.params
 
 
-class PartitionedSmashPoint:
+class PartitionedSmashPoint(_SuspendedPoint):
     """A suspended point of the blocked smash union.
 
     Holds one suspension height, the anchor that determines the level
@@ -478,58 +519,17 @@ class PartitionedSmashPoint:
     coordinate at -1 collapses the point.
     """
 
-    __slots__ = ("height", "anchor", "payload", "_collapsed")
+    __slots__ = ("height", "anchor")
+    _FIELDS = ("height", "anchor", "payload")
+    _COLLAPSED = (-_ONE, (), ())
 
     def __init__(self, height, anchor, payload):
         self.height = as_fraction(height)
         self.anchor = rational_point(anchor)
-        self.payload = rational_point(payload)
-        if abs(self.height) > 1:
-            raise ValueError("height must lie in [-1, 1]")
-        if any(not -_ONE <= c <= _ONE for c in self.payload):
-            raise ValueError("payload coordinates must lie in [-1, 1]")
-        self._collapsed = False
+        super().__init__(payload, "height")
 
-    @classmethod
-    def basepoint(cls):
-        point = cls.__new__(cls)
-        point.height = -_ONE
-        point.anchor = ()
-        point.payload = ()
-        point._collapsed = True
-        return point
-
-    @property
-    def is_basepoint(self):
-        return (
-            self._collapsed
-            or abs(self.height) == 1
-            or any(c == -1 for c in self.payload)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionedSmashPoint):
-            return NotImplemented
-        if self.is_basepoint or other.is_basepoint:
-            return self.is_basepoint and other.is_basepoint
-        return (
-            self.height == other.height
-            and self.anchor == other.anchor
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        if self.is_basepoint:
-            return hash("partitioned-basepoint")
-        return hash((self.height, self.anchor, self.payload))
-
-    def __repr__(self):
-        if self.is_basepoint:
-            return "PartitionedSmashPoint.basepoint()"
-        return (
-            f"PartitionedSmashPoint({self.height!r}, {self.anchor!r}, "
-            f"{self.payload!r})"
-        )
+    def _ends(self):
+        return (self.height,)
 
 
 def _height_parameter(params):
@@ -544,6 +544,21 @@ def _validate_suspension_input(complex, omega):
     if len(omega.params) != complex.n - 1:
         raise ValueError("expected one suspension parameter per non-anchor vertex")
     _validate_payload(complex, omega.payload)
+
+
+def _suspension_height(complex, omega):
+    """The smashed-model evaluators' prologue: validate ``omega`` once.
+
+    Returns the height parameter, or ``None`` (collapse) for the basepoint
+    or a zero height.  A payload whose interior support is not a face is
+    refused; it has no -1 coordinate, so this is the smashed-model test.
+    """
+    _validate_suspension_input(complex, omega)
+    if omega.is_basepoint:
+        return None
+    if not complex.is_face(_interior_support(omega.payload)):
+        raise ValueError("payload is not a point of the smashed model")
+    return _height_parameter(omega.params) or None
 
 
 # ----------------------------------------------------------------------
@@ -622,13 +637,8 @@ def tagging_map(complex, omega):
     image always satisfies the blocked-smash membership (slicing a face
     gives faces), which is asserted.
     """
-    _validate_suspension_input(complex, omega)
-    if omega.is_basepoint:
-        return PartitionedSmashPoint.basepoint()
-    if not in_smashed_complex(complex, omega.payload):
-        raise ValueError("payload is not a point of the smashed model")
-    beta = _height_parameter(omega.params)
-    if beta == 0:
+    beta = _suspension_height(complex, omega)
+    if beta is None:
         return PartitionedSmashPoint.basepoint()
     z = anchored(omega.params)
     point = PartitionedSmashPoint(2 * beta - 1, z, omega.payload)
@@ -684,13 +694,11 @@ def pinch_on_suspension(complex, omega):
     """Pinch acting on suspension parameters only, payload untouched.
 
     Returns ``None`` for the wedge basepoint, else a ``(split, point)``
-    pair tagging which wedge factor received the point.
+    pair tagging which wedge factor received the point.  A zero height
+    (as on a 1-vertex complex, with no parameters) is the basepoint too.
     """
-    _validate_suspension_input(complex, omega)
-    if omega.is_basepoint:
+    if _suspension_height(complex, omega) is None:
         return None
-    if not in_smashed_complex(complex, omega.payload):
-        raise ValueError("payload is not a point of the smashed model")
     routed = pinch_map(omega.params)
     if routed is None:
         return None
@@ -707,16 +715,11 @@ def tagging_homotopy(complex, omega, t):
     ends into the interior, so membership in the blocked smash is a real
     condition — :class:`MembershipViolation` reports a failure.
     """
-    _validate_suspension_input(complex, omega)
     t = as_fraction(t)
     if not _ZERO <= t <= _ONE:
         raise ValueError("homotopy time must lie in [0, 1]")
-    if omega.is_basepoint:
-        return PartitionedSmashPoint.basepoint()
-    if not in_smashed_complex(complex, omega.payload):
-        raise ValueError("payload is not a point of the smashed model")
-    beta = _height_parameter(omega.params)
-    if beta == 0:
+    beta = _suspension_height(complex, omega)
+    if beta is None:
         return PartitionedSmashPoint.basepoint()
     return _damped_point(complex, beta, anchored(omega.params), omega.payload,
                          f"homotopy leaves the blocked smash at time {t}", t)
@@ -731,13 +734,8 @@ def pinched_composite(complex, omega):
     taken from the original input, which makes the composite agree with
     the end of :func:`tagging_homotopy` on the nose.
     """
-    _validate_suspension_input(complex, omega)
-    if omega.is_basepoint:
-        return PartitionedSmashPoint.basepoint()
-    if not in_smashed_complex(complex, omega.payload):
-        raise ValueError("payload is not a point of the smashed model")
-    beta = _height_parameter(omega.params)
-    if beta == 0:
+    beta = _suspension_height(complex, omega)
+    if beta is None:
         return PartitionedSmashPoint.basepoint()
     routed = pinch_map(omega.params)
     if routed is None:

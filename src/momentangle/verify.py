@@ -11,6 +11,8 @@ vertex set fails to be a face.
 A sample's region tags come from :func:`~momentangle.clusters.split_tags`,
 which tests only the cuts of the sorted point, and every cluster radius
 of a block from one sort (:func:`~momentangle.clusters.cluster_radii`).
+Both reports draw parameters from one seeded sampler; the retraction
+check reads membership, spread and radii from one region-statistics call.
 """
 
 import random
@@ -19,18 +21,16 @@ from fractions import Fraction
 from .clusters import (
     MembershipViolation,
     SuspensionPoint,
-    anchored,
-    cluster_radii,
     contract_toward_center,
     enumerate_balanced_splits,
     factor_tagging_map,
     in_cluster_region,
     in_split_region,
-    normalized_spread,
     pinched_composite,
     radial_gauge,
     radial_gauge_inverse,
     split_center,
+    split_region_statistics,
     split_tags,
     tagging_homotopy,
     tagging_map,
@@ -40,42 +40,59 @@ from .complexes import full_mask, mask_vertices
 DEFAULT_DENOMINATOR = 2**20
 
 
-def sample_open_cube(rng, dims, denominator=DEFAULT_DENOMINATOR):
+def _grid_value(rng):
+    """A uniform value of the open interval (-1, 1) on the sampling grid."""
+    top = DEFAULT_DENOMINATOR - 1
+    return Fraction(rng.randint(-top, top), DEFAULT_DENOMINATOR)
+
+
+def sample_open_cube(rng, dims):
     """A uniform rational point strictly inside the cube, on a fixed grid."""
-    top = denominator - 1
-    return tuple(Fraction(rng.randint(-top, top), denominator) for _ in range(dims))
+    return tuple(_grid_value(rng) for _ in range(dims))
 
 
-def sample_near(rng, center, spread=Fraction(1, 8), denominator=DEFAULT_DENOMINATOR):
+def sample_near(rng, center, spread):
     """A point perturbed around a split center, still inside the cube."""
     spread = Fraction(spread)
     if not 0 < spread < Fraction(1, 2):
         raise ValueError("spread must lie strictly between 0 and 1/2")
-    top = denominator - 1
-    return tuple(
-        c + spread * Fraction(rng.randint(-top, top), denominator) for c in center
-    )
+    return tuple(c + spread * _grid_value(rng) for c in center)
 
 
-def sample_smash_payload(rng, complex, denominator=DEFAULT_DENOMINATOR, end_bias=0.9):
+def sample_smash_payload(rng, complex):
     """A random point of the complex's smashed model.
 
     Picks a face, fills its coordinates from the open interval and the
-    rest from the interval ends, favouring the non-basepoint end so that
-    most samples are informative.
+    rest from the interval ends, favouring the non-basepoint end (nine
+    draws in ten) so that most samples are informative.
     """
     faces = sorted(complex.faces)
     sigma = rng.choice(faces)
-    top = denominator - 1
     out = []
     for i in range(1, complex.n + 1):
         if sigma & (1 << i):
-            out.append(Fraction(rng.randint(-top, top), denominator))
-        elif rng.random() < end_bias:
+            out.append(_grid_value(rng))
+        elif rng.random() < 0.9:
             out.append(Fraction(1))
         else:
             out.append(Fraction(-1))
     return tuple(out)
+
+
+def _report_params(rng, n, samples):
+    """A report's parameter points, drawn lazily from ``rng``.
+
+    Even draws are uniform; odd draws (if ``n`` has splits) perturb a
+    random split center by ``1/(4n)``, as the regions shrink with ``n``.
+    """
+    centers = [split_center(low, high, n) for low, high in enumerate_balanced_splits(n)]
+    spread = Fraction(1, 4 * n)
+    return (
+        sample_near(rng, centers[rng.randrange(len(centers))], spread)
+        if centers and k % 2
+        else sample_open_cube(rng, n - 1)
+        for k in range(samples)
+    )
 
 
 def split_region_report(n, samples, seed):
@@ -90,15 +107,10 @@ def split_region_report(n, samples, seed):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    splits = enumerate_balanced_splits(n)
-    centers = [split_center(low, high, n) for low, high in splits]
-    # the regions shrink with n (the spread bound is 1/(2n)), so perturb less
-    spread = Fraction(1, 4 * n)
     report = {
         "n": n,
         "samples": samples,
-        "splits": len(splits),
+        "splits": len(enumerate_balanced_splits(n)),
         "in_cluster": 0,
         "tagged": 0,
         "overlap_breaches": 0,
@@ -110,11 +122,7 @@ def split_region_report(n, samples, seed):
         "gauge_failures": 0,
     }
     times = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    for k in range(samples):
-        if centers and k % 2:
-            y = sample_near(rng, centers[rng.randrange(len(centers))], spread)
-        else:
-            y = sample_open_cube(rng, n - 1)
+    for y in _report_params(random.Random(seed), n, samples):
         tags = split_tags(y)
         clustered = in_cluster_region(y)
         if clustered:
@@ -139,19 +147,17 @@ def split_region_report(n, samples, seed):
 
 def _retraction_holds(y, low, high, n, times):
     """Contraction closure plus the exact spread/radius scaling laws."""
-    z = anchored(y)
-    spread = normalized_spread(z)
-    radii = [cluster_radii(z, block) for block in (low, high)]
+    spread, *radii = split_region_statistics(y, low, high)
     for t in times:
-        yt = contract_toward_center(y, low, high, t)
-        if not in_split_region(yt, low, high):
+        stats = split_region_statistics(contract_toward_center(y, low, high, t),
+                                        low, high)
+        if stats is None:
             return False
-        zt = anchored(yt)
-        if normalized_spread(zt) != (1 - t) * spread + t * Fraction(1, 2 * n):
+        spread_t, *radii_t = stats
+        if spread_t != (1 - t) * spread + t * Fraction(1, 2 * n):
             return False
-        for block, before in zip((low, high), radii):
-            scaled = {v: (1 - t) * radius for v, radius in before.items()}
-            if cluster_radii(zt, block) != scaled:
+        for before, after in zip(radii, radii_t):
+            if after != {v: (1 - t) * radius for v, radius in before.items()}:
                 return False
     return True
 
@@ -162,17 +168,13 @@ def homotopy_report(complex, samples, seed):
     Time 0 must reproduce the tagging map exactly.  Time 1 must agree
     with the pinched composite: basepoints match up, and on non-basepoint
     values the worst height/anchor deviation is recorded (zero, as the
-    gauge round trip is exact) and the payload is compared exactly.  Membership violations are counted rather than
-    raised, so the report is also useful on complexes that fail the
-    neighbourliness hypothesis.
+    gauge round trip is exact) and the payload is compared exactly.
+    Membership violations are counted rather than raised, so the report
+    is also useful on complexes that fail the neighbourliness hypothesis.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    n = complex.n
-    splits = enumerate_balanced_splits(n)
-    centers = [split_center(low, high, n) for low, high in splits]
-    spread = Fraction(1, 4 * n)
     report = {
         "samples": samples,
         "start_mismatches": 0,
@@ -182,11 +184,7 @@ def homotopy_report(complex, samples, seed):
         "membership_violations": 0,
         "max_end_error": Fraction(0),
     }
-    for k in range(samples):
-        if centers and k % 2:
-            params = sample_near(rng, centers[rng.randrange(len(centers))], spread)
-        else:
-            params = sample_open_cube(rng, n - 1)
+    for params in _report_params(rng, complex.n, samples):
         omega = SuspensionPoint(params, sample_smash_payload(rng, complex))
         try:
             start = tagging_homotopy(complex, omega, 0)

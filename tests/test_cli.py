@@ -1,5 +1,6 @@
 """Command line behaviour: reports, determinism, exit codes."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -142,6 +143,53 @@ def test_cluster_verify_complex(capsys, tmp_path):
                       "--samples", "40", "--seed", "4")
     assert report["tagging_violation"] is None
     assert report["homotopy"]["max_end_error"] == "0"
+
+
+def regions_pin(n, splits):
+    """The region counts of ``--samples 40`` at ``n``: every odd draw, the
+    one perturbed around a split center, is tagged; no uniform draw is."""
+    return {"n": n, "samples": 40, "splits": splits, "in_cluster": 20,
+            "tagged": 20, "overlap_breaches": 0, "coverage_breaches": 0,
+            "stray_tag_breaches": 0, "retraction_checked": 20,
+            "retraction_breaches": 0, "gauge_trips": 20, "gauge_failures": 0}
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+@pytest.mark.parametrize("n, expected", [
+    ("6", regions_pin(6, 20)),
+    ("7", regions_pin(7, 70)),
+    ("9", regions_pin(9, 252)),
+])
+def test_cluster_verify_pinned_regions(capsys, n, expected, seed):
+    report = run_json(capsys, "cluster", "verify", "--n", n,
+                      "--samples", "40", "--seed", seed)
+    assert report["regions"] == expected
+
+
+def test_cluster_verify_pinned_complexes(capsys, tmp_path):
+    neighbourly = write_complex(
+        tmp_path, "skeleton.json", 6,
+        [list(face) for face in itertools.combinations(range(1, 7), 3)])
+    report = run_json(capsys, "cluster", "verify", "--complex", neighbourly,
+                      "--samples", "40", "--seed", "4")
+    assert report["homotopy"] == {
+        "samples": 40, "start_mismatches": 0, "end_mismatches": 0,
+        "end_compared": 40, "end_nonbasepoint": 11,
+        "membership_violations": 0, "max_end_error": "0"}
+    assert report["tagging_violation"] is None
+
+    ghost = write_complex(tmp_path, "ghost.json", 4, [[1, 2, 3]])
+    report = run_json(capsys, "cluster", "verify", "--complex", ghost,
+                      "--samples", "40", "--seed", "4")
+    assert report["homotopy"] == {
+        "samples": 40, "start_mismatches": 0, "end_mismatches": 0,
+        "end_compared": 9, "end_nonbasepoint": 0,
+        "membership_violations": 31, "max_end_error": "0"}
+    assert report["tagging_violation"] == {
+        "low_block": [1, 4], "high_block": [2, 3], "culprit": [4],
+        "failed_block": [4], "support": [1, 4],
+        "pre_gauge": ["1/1024", "1/2", "1/2"], "params": ["1/128", "0", "0"],
+        "payload": ["1", "1", "1", "1"]}
 
 
 def test_text_format(capsys):

@@ -33,6 +33,7 @@ from momentangle import (
     radial_gauge_inverse,
     single_non_face,
     split_center,
+    split_region_statistics,
     split_tags,
     tagging_homotopy,
     tagging_map,
@@ -228,6 +229,18 @@ def test_cluster_radii_match_per_vertex_rule():
     assert {(0, 0), (0, 1), (2, 1), (2, 2), (2, 3), (4, 4), (4, 5)} <= sizes
 
 
+def test_cluster_radii_refuses_foreign_vertices():
+    z = (F(0), F(1), F(3))
+    # bit 0 would be a phantom vertex 0 reading z[-1]
+    for block in (1, 1 | vertex_mask([1, 2]), vertex_mask([4]),
+                  vertex_mask([1, 9]), -2):
+        with pytest.raises(ValueError):
+            cluster_radii(z, block)
+    assert cluster_radii(z, vertex_mask([1, 2, 3])) == \
+        {1: F(1), 2: F(1), 3: F(2)}
+    assert cluster_radii((), 0) == {}
+
+
 def test_split_region_validation():
     y = WORKED_Y
     with pytest.raises(ValueError):
@@ -261,6 +274,9 @@ def test_split_centers_live_in_their_regions():
 def test_contraction_identities():
     low, high = vertex_mask([1, 2]), vertex_mask([3, 4])
     y = WORKED_Y
+    assert split_region_statistics(y, low, high) == \
+        (F(9, 40), {1: F(0), 2: F(0)}, {3: F(1, 10), 4: F(1, 10)})
+    assert split_region_statistics(y, high, low) is None
     assert contract_toward_center(y, low, high, 0) == y
     assert contract_toward_center(y, low, high, 1) == \
         split_center(low, high, 4)
@@ -540,6 +556,13 @@ def test_pinch_on_suspension():
     assert pinch_on_suspension(K, SuspensionPoint.basepoint()) is None
     flat = SuspensionPoint((F(-1, 2), F(0), F(1, 2)), payload)
     assert pinch_on_suspension(K, flat) is None
+    # one vertex: no parameters, no splits, so the wedge basepoint, as
+    # every other evaluator collapses the same point
+    lone = new_complex(1, [[1]])
+    omega = SuspensionPoint((), (F(0),))
+    assert pinch_on_suspension(lone, omega) is None
+    assert tagging_map(lone, omega).is_basepoint
+    assert pinched_composite(lone, omega).is_basepoint
 
 
 def test_homotopy_matches_endpoints_exactly():
