@@ -383,9 +383,13 @@ def _require_payload_range(payload):
         raise ValueError("payload coordinates must lie in [-1, 1]")
 
 
-def _validate_payload(complex, payload):
+def _require_payload_length(complex, payload):
     if len(payload) != complex.n:
         raise ValueError("payload length must match the vertex count")
+
+
+def _validate_payload(complex, payload):
+    _require_payload_length(complex, payload)
     _require_payload_range(payload)
 
 
@@ -543,7 +547,8 @@ def _validate_suspension_input(complex, omega):
         return
     if len(omega.params) != complex.n - 1:
         raise ValueError("expected one suspension parameter per non-anchor vertex")
-    _validate_payload(complex, omega.payload)
+    # the point's constructor has already range-checked the payload
+    _require_payload_length(complex, omega.payload)
 
 
 def _suspension_height(complex, omega):
@@ -565,11 +570,14 @@ def _suspension_height(complex, omega):
 # damping
 
 
+@lru_cache(maxsize=64)
 def _damping_factors(z):
     """Per-coordinate damping weights for an anchor point.
 
     Coordinate ``i`` keeps weight 1 when it clusters perfectly (radius 0)
     and is crushed to 0 once its cluster radius reaches the spread.
+    Cached, since a homotopy report damps against the same anchor at
+    every time it evaluates and again in the pinched composite.
     """
     spread = normalized_spread(z)
     if spread == 0:

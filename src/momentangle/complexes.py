@@ -132,6 +132,29 @@ class SimplicialComplex:
         return any(mask & ~f == 0 for f in self.facets)
 
     @cached_property
+    def closed_neighbourhoods(self):
+        """Per vertex v, the mask of v and its 1-skeleton neighbours.
+
+        Indexed by vertex label (entry 0 is unused); a ghost vertex gets 0.
+        """
+        out = [0] * (self.n + 1)
+        for f in self.facets:
+            for v in mask_vertices(f):
+                out[v] |= f
+        return tuple(out)
+
+    @cached_property
+    def is_flag(self):
+        """True when K is the clique complex of its 1-skeleton on its support.
+
+        Then every full subcomplex K_I is the clique complex of the graph
+        induced on I, so its faces are read off ``closed_neighbourhoods``.
+        """
+        edges = [(v, w) for v, closed in enumerate(self.closed_neighbourhoods)
+                 for w in mask_vertices(closed) if w > v]
+        return flag_from_graph(self.n, edges).restriction(self.support) == self
+
+    @cached_property
     def f_vector(self):
         """Face counts indexed by size: entry k counts faces with k vertices."""
         counts = [0] * (self.dim + 2)

@@ -11,6 +11,12 @@ route so the two can check each other.
 The empty subset contributes H̃^{-1} of the empty complex, which is the
 unit in degree 0; ghost vertices contribute genuine circle factors.  No
 special cases: both fall out of the reduced chain complex.
+
+Most subsets cost no homology at all.  When I holds a ghost vertex, or a
+vertex dominated in the flag complex K_I (its link is a cone), deleting
+that vertex keeps the homotopy type, so I takes the groups of the smaller
+subset, which the scan in increasing mask order has already computed.
+Only the strong-collapse cores build a restriction.
 """
 
 from __future__ import annotations
@@ -117,27 +123,75 @@ class HochsterSummand:
 def hochster_decomposition(complex, coeffs="Z"):
     """All subsets' shifted cohomology contributions, sorted by mask.
 
-    One HochsterSummand per I ⊆ [n] with a nontrivial group; restrictions
-    that are cones are skipped outright, and each other restriction's
-    cohomology is computed only in its ``homology_degree_window``.
+    One HochsterSummand per I ⊆ [n] with a nontrivial group.  Subsets are
+    scanned in increasing mask order, keeping each one's unshifted groups.
+    A subset with a removable vertex v (see :func:`_removable_vertex`)
+    has K_I ≃ K_{I∖v}, so it takes the groups already kept for the
+    smaller mask.  Only the other subsets build their restriction: cones
+    are skipped outright, and the rest compute cohomology in their
+    ``homology_degree_window``.
     """
     parse_coefficients(coeffs)
     n = complex.n
     if n > MAX_DECOMPOSITION_VERTICES:
         raise ValueError(f"decomposition over 2^{n} subsets refused "
                          f"(limit {MAX_DECOMPOSITION_VERTICES} vertices)")
+    neighbourhoods = None
+    if complex.is_flag:
+        neighbourhoods = {1 << v: closed for v, closed
+                          in enumerate(complex.closed_neighbourhoods)}
+    support = complex.support
+    # (d, H̃^d(K_I)) for the nonzero groups, ascending in d, by mask >> 1
+    groups_of = [()] * (1 << n)
     summands = []
     for bits in range(1 << n):
         mask = bits << 1
-        sub = complex.restriction(mask)
-        if sub.is_cone:
-            continue
-        groups = reduced_cohomology(sub, coeffs, homology_degree_window(sub))
-        shift = mask.bit_count() + 1
-        shifted = [(d + shift, g) for d, g in groups.items() if not g.is_zero]
-        if shifted:
-            summands.append(HochsterSummand(mask, shifted))
+        removable = _removable_vertex(mask, support, neighbourhoods)
+        if removable:
+            groups = groups_of[(mask ^ removable) >> 1]
+        else:
+            sub = complex.restriction(mask)
+            if sub.is_cone:
+                continue
+            full = reduced_cohomology(sub, coeffs, homology_degree_window(sub))
+            groups = tuple((d, g) for d, g in full.items() if not g.is_zero)
+        if groups:
+            groups_of[bits] = groups
+            shift = mask.bit_count() + 1
+            summands.append(HochsterSummand(
+                mask, [(d + shift, g) for d, g in groups]))
     return summands
+
+
+def _removable_vertex(mask, support, neighbourhoods):
+    """The bit of a vertex v with K_I ≃ K_{I∖v} for I = ``mask``, or 0.
+
+    A ghost vertex (off the support) is removable in any complex, since
+    K_I and K_{I∖v} are equal.  On a flag complex v is also removable when
+    some other w in I has N[v] ∩ I ⊆ N[w]: then every facet of K_I through
+    v contains w, so v is dominated and deleting it is a strong collapse
+    (Barmak–Minian).  ``neighbourhoods`` maps a vertex bit to its closed
+    neighbourhood N[v], and is ``None`` for a non-flag complex.
+    """
+    ghosts = mask & ~support
+    if ghosts:
+        return ghosts & -ghosts
+    if neighbourhoods is None:
+        return 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        # the common neighbours of N[v] ∩ I, narrowed until only v is left
+        common = neighbourhoods[bit] & mask
+        others = common ^ bit
+        while others and common != bit:
+            u = others & -others
+            others ^= u
+            common &= neighbourhoods[u]
+        if common != bit:
+            return bit
+    return 0
 
 
 def poincare_series(complex, field):

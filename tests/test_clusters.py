@@ -464,6 +464,9 @@ def test_tagging_map_basics():
         tagging_map(c4, SuspensionPoint((0, 0, 0), (0, 1, 0, 1)))
     with pytest.raises(ValueError):
         tagging_map(c4, SuspensionPoint((0, 0), (0, 1, 1, 1)))
+    # a payload of the wrong length, though in range, is refused
+    with pytest.raises(ValueError):
+        tagging_map(c4, SuspensionPoint((F(1, 2), 0, 0), (0, 1, 1)))
     with pytest.raises(ValueError):
         tagging_map(c4, "not a point")
 
@@ -530,6 +533,9 @@ def test_factor_tagging_map_valid_case():
     bad = SuspensionPoint((F(1, 2), 0, 0), (0, 1, 0, 1))
     with pytest.raises(ValueError):
         factor_tagging_map(c4, vertex_mask([1, 3]), vertex_mask([2, 4]), bad)
+    short = SuspensionPoint((F(1, 2), 0, 0), (0, 1, 1))
+    with pytest.raises(ValueError):
+        factor_tagging_map(c4, vertex_mask([1, 3]), vertex_mask([2, 4]), short)
 
 
 def test_pinch_map_routing():

@@ -141,6 +141,32 @@ def test_flag_from_graph():
     assert len(filled.facets) == 2
 
 
+def test_is_flag():
+    for n in (4, 5, 6, 9):
+        assert cycle_complex(n).is_flag
+    # a flag complex restricted to part of its vertices keeps ghosts
+    with_ghosts = flag_from_graph(6, [(1, 2), (2, 3), (1, 3), (3, 5)])
+    with_ghosts = with_ghosts.restriction(vertex_mask([1, 2, 3, 5]))
+    assert with_ghosts.support != full_mask(6)
+    assert with_ghosts.is_flag
+    assert new_complex(3, []).is_flag
+    # the clique complex of either 1-skeleton is a simplex
+    assert not boundary_simplex(3).is_flag
+    assert not full_skeleton(5, 1).is_flag
+    # the three-cycle is a non-flag control too: it bounds a missing triangle
+    assert not cycle_complex(3).is_flag
+
+
+def test_closed_neighbourhoods():
+    c4 = cycle_complex(4)
+    assert c4.closed_neighbourhoods == (0, vertex_mask([1, 2, 4]),
+                                        vertex_mask([1, 2, 3]),
+                                        vertex_mask([2, 3, 4]),
+                                        vertex_mask([1, 3, 4]))
+    # a ghost vertex has no neighbourhood, not even itself
+    assert new_complex(3, [[1, 2]]).closed_neighbourhoods[3] == 0
+
+
 def test_serialization_roundtrip():
     for K in (cycle_complex(5), new_complex(3, []), single_non_face(6, 3)):
         assert SimplicialComplex.from_dict(K.to_dict()) == K

@@ -4,10 +4,12 @@ import pytest
 
 from momentangle import (
     PoincareSeries,
+    SimplicialComplex,
     TruncationError,
     boundary_simplex,
     cycle_complex,
     full_mask,
+    full_skeleton,
     hochster_decomposition,
     koszul_oracle,
     new_complex,
@@ -22,7 +24,7 @@ from momentangle import (
     wedge_model,
 )
 
-from util import fixture_complex, random_antichain_complex, seeded
+from util import fixture_complex, gnp_flag, random_antichain_complex, seeded
 
 UNIT = {0: 1}
 
@@ -96,12 +98,23 @@ def test_decomposition_torsion_flag():
 
 def test_decomposition_matches_full_range_cohomology():
     """Each summand equals the shifted full-range cohomology of its
-    restriction; cones and windowed-out degrees contribute nothing."""
+    restriction; cones and windowed-out degrees contribute nothing, and a
+    subset with a ghost or dominated vertex reuses a smaller subset's
+    groups without changing them."""
     rng = seeded(35)
     corpus = [random_antichain_complex(rng, rng.randint(1, 6)) for _ in range(6)]
     corpus += [random_complex(6, floor, 0.5, seed)
                for floor in (2, 3) for seed in range(3)]
-    corpus.append(fixture_complex("rp2.json"))   # Z torsion at the top
+    rp2 = fixture_complex("rp2.json")
+    corpus.append(rp2)   # Z torsion at the top
+    # flag complexes, where dominated vertices are removed
+    corpus += [gnp_flag(rng, n, p) for n, p in ((6, 0.5), (7, 0.6), (8, 0.4),
+                                                (9, 0.5), (10, 0.3))]
+    corpus.append(gnp_flag(rng, 8, 0.6).restriction(vertex_mask([1, 2, 4, 5, 7])))
+    corpus.append(new_complex(3, []))
+    # non-flag controls; the torsion of RP² passes through two ghosts
+    corpus += [boundary_simplex(3), full_skeleton(5, 1),
+               SimplicialComplex(rp2.n + 2, rp2.facets)]
     for K in corpus:
         for coeffs in ("Z", "Q", "F2"):
             found = {s.subset_mask: list(s.shifted_groups)
@@ -112,6 +125,26 @@ def test_decomposition_matches_full_range_cohomology():
                 expected = [(d + shift, g) for d, g in sorted(full.items())
                             if not g.is_zero]
                 assert found.get(mask, []) == expected, (K.facets, mask)
+
+
+def test_scan_builds_only_the_cores(monkeypatch):
+    """On the five-cycle, only the empty set, the vertices, the non-edges
+    and the whole cycle lack a removable vertex; every other subset
+    reuses the groups of a smaller one and builds no restriction."""
+    c5 = cycle_complex(5)
+    assert c5.is_flag   # cached, so the flag test's restriction is not counted
+    built = []
+    original = SimplicialComplex.restriction
+
+    def recording(self, mask):
+        built.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(SimplicialComplex, "restriction", recording)
+    hochster_decomposition(c5, "Z")
+    non_edges = [vertex_mask([v, (v + 1) % 5 + 1]) for v in range(1, 6)]
+    singletons = [1 << v for v in range(1, 6)]
+    assert sorted(built) == sorted([0, *singletons, *non_edges, full_mask(5)])
 
 
 def test_oracle_matches_decomposition_on_random_complexes():

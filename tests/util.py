@@ -9,6 +9,7 @@ from fractions import Fraction
 from momentangle import (
     SimplicialComplex,
     enumerate_balanced_splits,
+    flag_from_graph,
     in_split_region,
     mask_vertices,
     new_complex,
@@ -70,6 +71,13 @@ def random_antichain_complex(rng, n, max_facets=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def gnp_flag(rng, n, p):
+    """Flag complex of a random graph G(n, p) on {1..n}."""
+    edges = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < p]
+    return flag_from_graph(n, edges)
 
 
 # ----------------------------------------------------------------------
