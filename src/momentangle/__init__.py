@@ -52,6 +52,7 @@ from momentangle.complexes import (
     vertex_mask,
 )
 from momentangle.golod import (
+    CrossProductMap,
     NullCertificate,
     PairReport,
     TheoremVerdict,

@@ -81,8 +81,12 @@ class SimplicialComplex:
             if f & ~ambient:
                 raise ValueError(
                     f"face {mask_vertices(f)} has vertices outside 1..{n}")
-        facets = [f for f in faces
-                  if not any(f != g and f & ~g == 0 for g in faces)]
+        # a strict superset is strictly larger, so in order of decreasing
+        # size each face need only be tested against the facets kept so far
+        facets = []
+        for f in sorted(faces, key=int.bit_count, reverse=True):
+            if not any(f & ~g == 0 for g in facets):
+                facets.append(f)
         self.n = n
         self.facets = tuple(sorted(facets))
 

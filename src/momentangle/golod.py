@@ -8,12 +8,21 @@ splitting fails, and a map that is nonzero on cohomology is certainly
 essential.  This module certifies nullhomotopy where cheap topology
 suffices (contractible source or target, dimension below the join's
 connectivity) and otherwise computes the induced cohomology maps
-exactly, over ZZ, QQ and small prime fields.  A certificate stops at the
-first nonzero map, so a QQ check that follows a zero ZZ map in the
-battery is skipped: by the universal coefficient theorem the QQ map is
-the ZZ map tensored with QQ, hence zero as well.  Reports that list the
-maps over every coefficient system (``iota_pair``, the witness of a
-NotCoH verdict, ``cup_products_vanish``) still compute QQ.
+exactly, over ZZ, QQ and small prime fields.
+
+The join is not built to compute a map.  By Künneth its cohomology is
+spanned by cross products of the factors' classes, so each pair map is
+read off the cached calculators of I, J and I ∪ J
+(``CrossProductMap``).  The one exception is a ZZ pair whose sides
+share a torsion prime: there the join has a Tor summand that no cross
+product reaches, and that map alone builds the join and its calculator.
+
+A certificate stops at the first nonzero map, so a QQ check that
+follows a zero ZZ map in the battery is skipped: by the universal
+coefficient theorem the QQ map is the ZZ map tensored with QQ, hence
+zero as well.  Reports that list the maps over every coefficient system
+(``iota_pair``, the witness of a NotCoH verdict,
+``cup_products_vanish``) still compute QQ.
 
 Certificate reasons name the spaces of the unsuspended inclusion: its
 source is the restriction to I ∪ J and its target is the join.
@@ -31,10 +40,13 @@ its cone test and walks no subsets.
 
 from __future__ import annotations
 
+import math
+
 from momentangle.complexes import full_mask, mask_vertices
 from momentangle.homology import (
     DEFAULT_BATTERY,
     CochainCalculator,
+    GradedMap,
     InducedMap,
     connectivity_certificate,
 )
@@ -144,6 +156,105 @@ def iter_disjoint_pairs(n):
                 yield first, second
 
 
+def _shuffle_sign(mask_a, mask_b):
+    """Sign of the permutation sorting (vertices of a, vertices of b)."""
+    inversions = 0
+    b_seen = 0
+    for v in mask_vertices(mask_a | mask_b):
+        if mask_b >> v & 1:
+            b_seen += 1
+        else:
+            inversions += b_seen
+    return -1 if inversions % 2 else 1
+
+
+def _cross_product_cochains(faces, mask_i, index_i, alphas, index_j, betas):
+    """The cochains f ↦ sign(f∩I, f∩J)·α(f∩I)·β(f∩J) on ``faces``.
+
+    ``faces`` lie in I ∪ J, and a face's part in I is its meet with
+    ``mask_i`` (I itself, or the support of K_I).  α runs over ``alphas``
+    (cochains on the faces of ``index_i``) and β over ``betas`` (on those
+    of ``index_j``), α major.  The sign is the shuffle sign, so the value
+    is α·β on the face ordered I-part first.  A face whose parts are not
+    both indexed (the wrong sizes) gets 0.
+    """
+    splits = []
+    for k, face in enumerate(faces):
+        part_i = face & mask_i
+        part_j = face ^ part_i
+        if part_i in index_i and part_j in index_j:
+            splits.append((k, index_i[part_i], index_j[part_j],
+                           _shuffle_sign(part_i, part_j)))
+    out = []
+    for alpha in alphas:
+        for beta in betas:
+            cochain = [0] * len(faces)
+            for k, a, b, sign in splits:
+                cochain[k] = sign * alpha[a] * beta[b]
+            out.append(cochain)
+    return out
+
+
+def _share_torsion_prime(calc_i, calc_j):
+    """Whether some torsion orders of the two cohomologies share a prime,
+    so that the Künneth formula has a Tor summand."""
+    def torsion(calc):
+        return [e for d in calc.degrees() for e in calc.orders(d) if e > 1]
+    orders_j = torsion(calc_j)
+    return any(math.gcd(a, b) > 1 for a in torsion(calc_i) for b in orders_j)
+
+
+class CrossProductMap(GradedMap):
+    """The map H̃^*(K_I * K_J) → H̃^*(K_{I∪J}) read from the factors.
+
+    The join's reduced cochains are the tensor product of the factors'
+    (shifted by one), so by Künneth its cohomology in degree d holds the
+    cross products α × β, α a generator of H̃^p(K_I) and β one of
+    H̃^q(K_J), p + q + 1 = d; the empty face sits in degree -1, so a side
+    of ghost vertices needs no special case.  Column (α, β) of
+    ``matrix(d)`` is the class in H̃^d(K_{I∪J}) of the restricted cross
+    product, f ↦ sign(f∩I, f∩J)·α(f∩I)·β(f∩J), with entries reduced
+    modulo the target's orders as in ``InducedMap``.
+
+    Over a field, and over ``Z`` when no torsion prime of K_I is one of
+    K_J, the cross products generate the join's cohomology (the Tor
+    summand vanishes), so zero tests and ``nonzero_degrees`` are exact.
+    """
+
+    def __init__(self, calc_i, calc_j, target):
+        self.calc_i = calc_i
+        self.calc_j = calc_j
+        self.target = target
+        self._matrices = {}
+
+    def degrees(self):
+        top = max(self.target.complex.dim,
+                  self.calc_i.complex.dim + self.calc_j.complex.dim + 1)
+        return range(-1, top + 1)
+
+    def matrix(self, d):
+        if d in self._matrices:
+            return self._matrices[d]
+        target = self.target
+        target_orders = target.orders(d) if d <= target.complex.dim else ()
+        columns = []
+        if target_orders:
+            dim_i, dim_j = self.calc_i.complex.dim, self.calc_j.complex.dim
+            for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
+                alphas = self.calc_i.generators(p)
+                betas = self.calc_j.generators(d - 1 - p)
+                if alphas and betas:
+                    columns += [target.class_coordinates(d, cochain)
+                                for cochain in _cross_product_cochains(
+                                    target.faces(d),
+                                    self.calc_i.complex.support,
+                                    self.calc_i.face_index(p), alphas,
+                                    self.calc_j.face_index(d - 1 - p), betas)]
+        rows = [[col[i] for col in columns] for i in range(len(target_orders))]
+        self._matrices[d] = rows
+        return rows
+
+
 class _PairEngine:
     """Per-run caches for restrictions, joins, calculators and induced maps,
     plus the one pair walk and the one pair-report builder."""
@@ -183,13 +294,24 @@ class _PairEngine:
         return self._joins[key]
 
     def induced_map(self, subset_i, subset_j, coeffs):
-        """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J; the join's
-        calculator is used by this map alone, so it is cached here."""
+        """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J.
+
+        It is read from the cached calculators of I, J and I ∪ J as a
+        ``CrossProductMap``.  Only a ``Z`` pair whose sides share a
+        torsion prime, where cross products miss the Tor summand of the
+        join, builds the join and its calculator.
+        """
         key = (subset_i, subset_j, coeffs)
         if key not in self._induced:
-            self._induced[key] = InducedMap(
-                self.calculator(subset_i | subset_j, coeffs),
-                CochainCalculator(self.join(subset_i, subset_j), coeffs))
+            calc_i = self.calculator(subset_i, coeffs)
+            calc_j = self.calculator(subset_j, coeffs)
+            target = self.calculator(subset_i | subset_j, coeffs)
+            if coeffs == "Z" and _share_torsion_prime(calc_i, calc_j):
+                self._induced[key] = InducedMap(
+                    target,
+                    CochainCalculator(self.join(subset_i, subset_j), coeffs))
+            else:
+                self._induced[key] = CrossProductMap(calc_i, calc_j, target)
         return self._induced[key]
 
     def certificates(self, battery):
@@ -273,8 +395,8 @@ def null_certificate(complex, subset_i, subset_j):
 
 
 def iota_pair(complex, subset_i, subset_j, coeffs=DEFAULT_BATTERY):
-    """Full report for one pair: join built, subcomplex checked, induced
-    cohomology maps computed over every requested coefficient system."""
+    """Full report for one pair: its certificate and the induced
+    cohomology maps over every requested coefficient system."""
     _validate_pair(complex, subset_i, subset_j)
     battery = _battery(coeffs)
     engine = _PairEngine(complex)
@@ -358,18 +480,6 @@ class SummandClass:
                 f"degree={self.degree}, coords={self.coords})")
 
 
-def _shuffle_sign(mask_a, mask_b):
-    """Sign of the permutation sorting (vertices of a, vertices of b)."""
-    inversions = 0
-    b_seen = 0
-    for v in mask_vertices(mask_a | mask_b):
-        if mask_b >> v & 1:
-            b_seen += 1
-        else:
-            inversions += b_seen
-    return -1 if inversions % 2 else 1
-
-
 def cup_product(complex, field, class_i, class_j):
     """Product of two summand classes, landing in the union's summand.
 
@@ -397,26 +507,13 @@ def cup_product(complex, field, class_i, class_j):
                              "summand's basis")
     if not target_orders:
         return zero
-    alpha = _combined_cochain(calc_i, class_i)
-    beta = _combined_cochain(calc_j, class_j)
-    index_i = calc_i.face_index(p)
-    index_j = calc_j.face_index(q)
     kunneth = -1 if ((p + 1) * (q + 1)) % 2 else 1
-    product = []
-    for face in target.faces(p + q + 1):
-        part_i = face & class_i.subset_mask
-        part_j = face & class_j.subset_mask
-        if part_i.bit_count() != p + 1 or part_j not in index_j:
-            product.append(0)
-            continue
-        if part_i not in index_i:
-            product.append(0)
-            continue
-        value = (kunneth * _shuffle_sign(part_i, part_j)
-                 * alpha[index_i[part_i]] * beta[index_j[part_j]])
-        product.append(value)
-    return SummandClass(union, p + q + 1,
-                        target.class_coordinates(p + q + 1, product))
+    (product,) = _cross_product_cochains(
+        target.faces(p + q + 1), class_i.subset_mask,
+        calc_i.face_index(p), [_combined_cochain(calc_i, class_i)],
+        calc_j.face_index(q), [_combined_cochain(calc_j, class_j)])
+    return SummandClass(union, p + q + 1, target.class_coordinates(
+        p + q + 1, [kunneth * v for v in product]))
 
 
 def _combined_cochain(calculator, summand_class):

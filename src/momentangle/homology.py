@@ -8,6 +8,12 @@ Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p (e.g.
 "F2").  Integer results carry torsion; field results are plain ranks.
 The cohomology side also provides canonical bases, so maps induced by
 subcomplex inclusions become honest matrices that compose correctly.
+
+``InducedMap`` reads such a map off the calculators of both complexes.
+The pair maps into a join K_I * K_J do not need the join's calculator:
+by Künneth they are read from the factors' cached classes as cross
+products (``golod.CrossProductMap``), and the join is built only for a
+``Z`` pair whose sides share a torsion prime.
 """
 
 from __future__ import annotations
@@ -374,7 +380,22 @@ def check_subcomplex(sub, ambient):
                 f"{mask_vertices(f)} is not a face of the ambient complex")
 
 
-class InducedMap:
+class GradedMap:
+    """Zero tests of a map on cohomology, read off its ``matrix(d)`` over
+    its ``degrees()``."""
+
+    def is_zero_in_degree(self, d):
+        return all(not v for row in self.matrix(d) for v in row)
+
+    @property
+    def is_zero(self):
+        return all(self.is_zero_in_degree(d) for d in self.degrees())
+
+    def nonzero_degrees(self):
+        return [d for d in self.degrees() if not self.is_zero_in_degree(d)]
+
+
+class InducedMap(GradedMap):
     """Cohomology map induced by a subcomplex inclusion L ⊆ M.
 
     Cochain restriction induces H^d(M) -> H^d(L) in every degree; this
@@ -411,16 +432,6 @@ class InducedMap:
         rows = [[col[i] for col in columns] for i in range(len(target_orders))]
         self._matrices[d] = rows
         return rows
-
-    def is_zero_in_degree(self, d):
-        return all(not v for row in self.matrix(d) for v in row)
-
-    @property
-    def is_zero(self):
-        return all(self.is_zero_in_degree(d) for d in self.degrees())
-
-    def nonzero_degrees(self):
-        return [d for d in self.degrees() if not self.is_zero_in_degree(d)]
 
 
 def connectivity_certificate(complex):

@@ -45,6 +45,34 @@ def test_construction_canonicalizes():
     assert E.faces == frozenset({0})
 
 
+def _antichain_by_all_pairs(faces):
+    """The facet rule before the size-ordered prune: keep each face that
+    no other face contains."""
+    faces = set(faces) or {0}
+    return tuple(sorted(f for f in faces
+                        if not any(f != g and f & ~g == 0 for g in faces)))
+
+
+def test_size_ordered_prune_matches_all_pairs_rule():
+    # the raw face lists that restrictions and joins feed the constructor
+    rng = seeded(61)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        K = random_antichain_complex(rng, n, max_facets=12)
+        for _ in range(4):
+            mask = rng.randrange(1 << (n + 1)) & full_mask(n)
+            raw = [f & mask for f in K.facets]
+            assert K.restriction(mask).facets == _antichain_by_all_pairs(raw)
+            checked += 1
+        low = rng.randrange(1 << (n + 1)) & full_mask(n)
+        left, right = K.restriction(low), K.restriction(full_mask(n) ^ low)
+        raw = [f | g for f in left.facets for g in right.facets]
+        assert left.join(right).facets == _antichain_by_all_pairs(raw)
+        checked += 1
+    assert checked == 300
+
+
 def test_equality_and_hash():
     assert cycle_complex(4) == new_complex(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
     assert hash(cycle_complex(4)) == hash(cycle_complex(4))

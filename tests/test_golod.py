@@ -5,11 +5,17 @@ import itertools
 import pytest
 
 from momentangle import (
+    CochainCalculator,
+    CrossProductMap,
+    HomologyGroup,
+    InducedMap,
     SimplicialComplex,
     boundary_simplex,
     cup_product,
     cup_products_vanish,
     cycle_complex,
+    field_rank,
+    full_mask,
     full_skeleton,
     hochster_decomposition,
     iota_pair,
@@ -26,6 +32,7 @@ from momentangle import (
     vertex_mask,
 )
 from momentangle import golod
+from momentangle.homology import parse_coefficients
 from momentangle.golod import (
     DEFAULT_BATTERY,
     MAX_PAIR_VERTICES,
@@ -310,6 +317,136 @@ def test_cup_products_vanish_matches_all_maps_route():
         assert (vanish, got) == _cup_products_vanish_by_maps(K, battery)
         flagged += len(witnesses)
     assert flagged > 1000
+
+
+def _rp2_on(n, labels):
+    """The 6-vertex RP² relabelled onto ``labels``, on {1..n}."""
+    rp2 = fixture_complex("rp2.json")
+    return SimplicialComplex(n, (
+        vertex_mask([labels[v - 1] for v in mask_vertices(f)])
+        for f in rp2.facets))
+
+
+def _disjoint_rp2s():
+    """RP² ⊔ RP² on {1..6} and {7..12}."""
+    return SimplicialComplex(12, _rp2_on(12, range(1, 7)).facets
+                             + _rp2_on(12, range(7, 13)).facets)
+
+
+def _z_product_map(engine, subset_i, subset_j):
+    """The cross-product map over Z, whatever the torsion of the sides."""
+    return CrossProductMap(engine.calculator(subset_i, "Z"),
+                           engine.calculator(subset_j, "Z"),
+                           engine.calculator(subset_i | subset_j, "Z"))
+
+
+def _interleaved_join(left, right):
+    """The join with ``left`` on the odd labels and ``right`` on the even."""
+    def relabel(face, shift):
+        return vertex_mask([2 * v - shift for v in mask_vertices(face)])
+    return SimplicialComplex(2 * max(left.n, right.n), (
+        relabel(f, 1) | relabel(g, 0)
+        for f in left.facets for g in right.facets))
+
+
+def _join_map(engine, subset_i, subset_j, coeffs):
+    """The induced map read off a calculator of the join itself."""
+    return InducedMap(engine.calculator(subset_i | subset_j, coeffs),
+                      CochainCalculator(engine.join(subset_i, subset_j), coeffs))
+
+
+def test_cross_product_maps_match_join_maps():
+    # pairs with a cone side are left out: their join is contractible
+    corpus = [K for K in oracle_corpus() if K.n <= 5]
+    randoms = [random_complex(n, 0, density, seed)
+               for n in (6, 7) for density in (0.3, 0.6) for seed in range(5)]
+    assert sum(K.support != full_mask(K.n) for K in randoms) >= 5  # ghosts
+    # joins whose factors interleave, so that shuffle signs matter;
+    # torsion on one side: RP² with two ghosts between its vertices
+    circle = boundary_simplex(3)
+    two_edges, points = new_complex(4, [[1, 2], [3, 4]]), full_skeleton(3, 0)
+    corpus += randoms + [_interleaved_join(circle, circle),
+                         _interleaved_join(two_edges, points)]
+    corpus += [_rp2_on(8, (1, 2, 4, 5, 7, 8))]
+    compared = nonzero = torsion_sides = 0
+    for K in corpus:
+        engine = _PairEngine(K)
+        for i, j in iter_disjoint_pairs(K.n):
+            if engine.restriction(i).is_cone or engine.restriction(j).is_cone:
+                continue
+            for coeffs in DEFAULT_BATTERY:
+                got = engine.induced_map(i, j, coeffs)
+                assert isinstance(got, CrossProductMap)
+                want = _join_map(engine, i, j, coeffs)
+                assert (got.nonzero_degrees(), got.is_zero) == \
+                    (want.nonzero_degrees(), want.is_zero), (K, i, j, coeffs)
+                if coeffs != "Z":
+                    # the cross products are join classes, so equal ranks
+                    # mean equal images
+                    p = parse_coefficients(coeffs)[1]
+                    assert [field_rank(got.matrix(d), p) for d in got.degrees()] \
+                        == [field_rank(want.matrix(d), p) for d in got.degrees()]
+                compared += 1
+                nonzero += not got.is_zero
+            torsion_sides += any(engine.calculator(m, "Z").group(d).torsion
+                                 for m in (i, j)
+                                 for d in engine.calculator(m, "Z").degrees())
+    assert compared > 5000 and nonzero > 500 and torsion_sides == 5
+
+
+def test_no_join_is_built_without_a_shared_torsion_prime(monkeypatch):
+    joins, join_calculators = [], []
+    join = SimplicialComplex.join
+    calculator = golod.CochainCalculator
+
+    def recording_join(self, other):
+        joins.append(join(self, other))
+        return joins[-1]
+
+    def recording_calculator(complex, coeffs="Z"):
+        if any(complex is joined for joined in joins):
+            join_calculators.append(coeffs)
+        return calculator(complex, coeffs)
+
+    monkeypatch.setattr(SimplicialComplex, "join", recording_join)
+    monkeypatch.setattr(golod, "CochainCalculator", recording_calculator)
+    # fields everywhere, and Z with torsion on one side only (RP²)
+    for K in (cycle_complex(4), cycle_complex(5), full_skeleton(6, 1),
+              random_complex(7, 0, 0.6, 3), _rp2_on(8, (1, 2, 4, 5, 7, 8))):
+        cup_products_vanish(K)
+        splitting_verdict(K)
+    assert joins == [] and join_calculators == []
+    # RP² ⊔ RP²: both sides carry 2-torsion, so the Z map alone uses a join
+    iota_pair(_disjoint_rp2s(), full_mask(6), full_mask(12) ^ full_mask(6))
+    assert len(joins) == 1 and join_calculators == ["Z"]
+
+
+def test_shared_torsion_prime_falls_back_to_the_join():
+    two = _disjoint_rp2s()
+    i, j = full_mask(6), full_mask(12) ^ full_mask(6)
+    cert = null_certificate(two, i, j)
+    report = iota_pair(two, i, j)
+    assert cert.verdict == report.certificate.verdict == "Unknown"
+    fallback = report.induced["Z"]
+    assert isinstance(fallback, InducedMap)
+    assert all(isinstance(report.induced[c], CrossProductMap)
+               for c in DEFAULT_BATTERY if c != "Z")
+    # RP² * RP² has the Tor summand Z/2 in degree 4, which no cross
+    # product reaches; RP² ⊔ RP² has no cohomology there, so the product
+    # map gives the same answer
+    assert fallback.ambient.group(4) == HomologyGroup(0, [2])
+    product = _z_product_map(_PairEngine(two), i, j)
+    assert fallback.nonzero_degrees() == product.nonzero_degrees() == []
+    assert fallback.is_zero and product.is_zero
+    # on the join itself the inclusion is the identity: the Tor class is
+    # seen only by the fallback
+    rp2 = fixture_complex("rp2.json")
+    engine = _PairEngine(shifted_join(rp2, rp2))
+    fallback = engine.induced_map(i, j, "Z")
+    product = _z_product_map(engine, i, j)
+    assert isinstance(fallback, InducedMap)
+    assert fallback.nonzero_degrees() == [4, 5]
+    assert product.nonzero_degrees() == [5]
 
 
 def test_verdicts_invariant_under_relabeling():
