@@ -71,8 +71,6 @@ def _text_lines(value, path=""):
             yield f"{path} = {{}}"
         for key in sorted(value, key=str):
             yield from _text_lines(value[key], f"{path}.{key}" if path else str(key))
-    elif isinstance(value, (list, tuple)):
-        yield f"{path} = {json.dumps(value)}"
     else:
         yield f"{path} = {json.dumps(value)}"
 

@@ -279,11 +279,14 @@ class _PairEngine:
         return self._connectivity[mask]
 
     def calculator(self, mask, coeffs):
-        """Cochain calculator of the restriction to ``mask``."""
+        """Cochain calculator of the restriction to ``mask``: one integral
+        calculator per mask, read over ``coeffs``."""
         key = (mask, coeffs)
         if key not in self._calculators:
-            self._calculators[key] = CochainCalculator(self.restriction(mask),
-                                                       coeffs)
+            if (mask, "Z") not in self._calculators:
+                self._calculators[mask, "Z"] = CochainCalculator(
+                    self.restriction(mask), "Z")
+            self._calculators[key] = self._calculators[mask, "Z"].over(coeffs)
         return self._calculators[key]
 
     def join(self, subset_i, subset_j):

@@ -8,6 +8,8 @@ Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p (e.g.
 "F2").  Integer results carry torsion; field results are plain ranks.
 The cohomology side also provides canonical bases, so maps induced by
 subcomplex inclusions become honest matrices that compose correctly.
+Every coefficient system reads its basis off one integral presentation,
+the Smith forms of the coboundaries (``CochainCalculator``).
 
 ``InducedMap`` reads such a map off the calculators of both complexes.
 The pair maps into a join K_I * K_J do not need the join's calculator:
@@ -18,20 +20,14 @@ products (``golod.CrossProductMap``), and the join is built only for a
 
 from __future__ import annotations
 
+import copy
 import math
-from fractions import Fraction
 
 from momentangle.complexes import mask_vertices
-from momentangle.linalg import (
-    IntMatrix,
-    echelon_nullspace,
-    field_echelon,
-    rank_mod_p,
-    smith_normal_form,
-)
-# Unused here (cocycle coordinates are read off the kernel's free columns),
-# but the benchmark's tracer wraps these two module attributes by name.
-from momentangle.linalg import field_nullspace, field_solve  # noqa: F401
+from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
+# Unused here (every coefficient system is read off the integral Smith
+# forms), but the benchmark's tracer wraps these module attributes by name.
+from momentangle.linalg import field_echelon, field_nullspace, field_solve  # noqa: F401
 
 
 def parse_coefficients(label):
@@ -217,8 +213,24 @@ class CochainCalculator:
     class coordinates against that basis — reduced modulo the orders, so
     two cocycles are cohomologous exactly when their coordinates agree.
 
-    Over the integers this runs Smith normal form with transforms; over
-    a field it echelonizes.  Intended for small complexes.
+    Every coefficient system is read off one integral presentation, two
+    Smith forms per degree d: ``out``, that of δ_d (rank r, factors d_i,
+    transforms V and V⁻¹), and ``rel``, that of rows r.. of V⁻¹δ_{d-1},
+    the coboundaries in kernel coordinates (orders e_j padded with 0,
+    transform U).  For a cochain c let w = V⁻¹c and y = U·w_{≥r}.  By
+    universal coefficients:
+
+    - over ``Z`` the kept e_j are those ≠ 1, with coordinates y_j mod e_j;
+    - over ``Q`` they are the e_j = 0, with coordinates y_j;
+    - over ``F_p`` the generators are first V·e_i for each i < r with
+      p | d_i (the Tor part: its coboundary is d_i times a column of
+      ``out``'s row transform, so 0 mod p), then the e_j divisible by p;
+      the coordinates are those w_i, then those y_j, mod p, and c is a
+      cocycle mod p exactly when w_i ≡ 0 at every other i < r.
+
+    ``over(coeffs)`` gives the calculator over other coefficients that
+    shares the chain complex, the coboundaries and the Smith forms.
+    Intended for small complexes.
     """
 
     def __init__(self, complex, coeffs="Z"):
@@ -227,7 +239,19 @@ class CochainCalculator:
         self.kind, self.p = parse_coefficients(coeffs)
         self.chain = ChainComplex(complex)
         self._coboundaries = {}
-        self._degree_data = {}
+        self._forms = {}
+        self._readings = {}
+
+    def over(self, coeffs):
+        """This complex's calculator over ``coeffs``, sharing this one's
+        chain complex, coboundaries and Smith forms."""
+        if coeffs == self.coeffs:
+            return self
+        other = copy.copy(self)
+        other.coeffs = coeffs
+        other.kind, other.p = parse_coefficients(coeffs)
+        other._readings = {}
+        return other
 
     def degrees(self):
         return range(-1, self.complex.dim + 1)
@@ -245,85 +269,64 @@ class CochainCalculator:
 
     # -- presentation ---------------------------------------------------
 
-    def _data(self, d):
-        if d in self._degree_data:
-            return self._degree_data[d]
-        data = (self._setup_integer(d) if self.kind == "Z"
-                else self._setup_field(d))
-        self._degree_data[d] = data
-        return data
-
-    def _setup_integer(self, d):
-        dim_d = len(self.faces(d))
+    def _form(self, d):
+        """The Smith forms ``out`` and ``rel`` of degree d, with the
+        orders e_j of ``rel`` padded to the kernel's rank."""
+        if d in self._forms:
+            return self._forms[d]
         out = smith_normal_form(self.coboundary_matrix(d), keep_transforms=True)
         r = out.rank
-        kernel_dim = dim_d - r
+        kernel_dim = len(self.faces(d)) - r
         # kernel coordinates of a cocycle c are the last entries of V^-1 c,
         # so those of every coboundary image are rows r.. of V^-1 δ_{d-1}
         prev = self.coboundary_matrix(d - 1)
         images = out.V_inv @ prev
+        assert all(row >= r for row, _ in images.entries), \
+            "coboundary image escaped the cocycle space"
         relations = IntMatrix(kernel_dim, prev.num_cols,
                               {(row - r, col): v
                                for (row, col), v in images.entries.items()
                                if row >= r})
         rel = smith_normal_form(relations, keep_transforms=True)
-        orders_full = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
-        kept = [i for i, e in enumerate(orders_full) if e != 1]
-        generators = []
-        for i in kept:
-            z = rel.U_inv.column(i)
-            cochain = [0] * dim_d
-            for (row, col), v in out.V.entries.items():
-                if col >= r and z[col - r]:
-                    cochain[row] += v * z[col - r]
-            generators.append(cochain)
-        return {
-            "orders": tuple(orders_full[i] for i in kept),
-            "generators": generators,
-            "V_inv": out.V_inv,
-            "rank_delta": r,
-            "rel_U": rel.U,
-            "kept": kept,
-            "orders_full": orders_full,
-        }
+        orders = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
+        self._forms[d] = out, rel, orders
+        return self._forms[d]
 
-    def _setup_field(self, d):
-        delta = self.coboundary_matrix(d)
-        prev = self.coboundary_matrix(d - 1)
-        assert (delta @ prev).is_zero, \
-            "coboundary image escaped the cocycle space"
-        _, delta_rref, delta_pivots = field_echelon(delta.to_rows(), self.p)
-        free_cols, kernel = echelon_nullspace(delta_rref, delta_pivots,
-                                              len(self.faces(d)), self.p)
-        # a cocycle's kernel coordinates are its entries at the free columns
-        position = {c: k for k, c in enumerate(free_cols)}
-        zero = 0 if self.p else Fraction(0)
-        relation_rows = [[zero] * len(kernel) for _ in range(prev.num_cols)]
-        for (row, col), v in prev.entries.items():
-            if row in position:
-                relation_rows[col][position[row]] = self._scalar(v)
-        rank_rel, rref, pivots = (field_echelon(relation_rows, self.p)
-                                  if relation_rows and kernel
-                                  else (0, [], []))
-        free = [j for j in range(len(kernel)) if j not in set(pivots)]
-        return {
-            "orders": (0,) * len(free),
-            "generators": [kernel[j] for j in free],
-            "free_cols": free_cols,
-            "rref": rref[:rank_rel],
-            "pivots": pivots,
-            "free": free,
-        }
-
-    def _scalar(self, value):
-        """A cochain entry as a field element: Fraction, or a residue mod p."""
-        return value % self.p if self.p else Fraction(value)
+    def _reading(self, d):
+        """Which w and y coordinates make up the group over ``coeffs``:
+        the w_i that a cocycle has at 0, the Tor w_i, the kept y_j, the
+        generators, their orders and the modulus of each coordinate."""
+        if d in self._readings:
+            return self._readings[d]
+        out, rel, orders = self._form(d)
+        r, p = out.rank, self.p
+        if p:
+            vanish = [i for i, f in enumerate(out.diagonal) if f % p]
+            tor = [i for i, f in enumerate(out.diagonal) if f % p == 0]
+            kept = [j for j, e in enumerate(orders) if e % p == 0]
+        else:
+            vanish, tor = range(r), []
+            kept = [j for j, e in enumerate(orders)
+                    if (e == 0 if self.kind == "Q" else e != 1)]
+        generators = ([out.V.column(i) for i in tor]
+                      + [out.V.apply([0] * r + rel.U_inv.column(j))
+                         for j in kept])
+        if p:
+            generators = [[v % p for v in g] for g in generators]
+            group_orders = (0,) * len(generators)
+            moduli = [p] * len(generators)
+        else:
+            group_orders = moduli = tuple(orders[j] for j in kept)
+        self._readings[d] = {"vanish": vanish, "tor": tor, "kept": kept,
+                             "generators": generators,
+                             "orders": group_orders, "moduli": moduli}
+        return self._readings[d]
 
     def orders(self, d):
-        return self._data(d)["orders"]
+        return self._reading(d)["orders"]
 
     def generators(self, d):
-        return self._data(d)["generators"]
+        return self._reading(d)["generators"]
 
     def group(self, d):
         orders = self.orders(d)
@@ -339,35 +342,21 @@ class CochainCalculator:
     def class_coordinates(self, d, vector):
         """Coordinates of a cocycle's class against the canonical basis.
 
-        Torsion coordinates are reduced into [0, order); a class is zero
-        exactly when all coordinates are zero.
+        Torsion coordinates are reduced into [0, order), and coordinates
+        over ``F_p`` into [0, p); a class is zero exactly when all
+        coordinates are zero.
         """
-        data = self._data(d)
-        if self.kind == "Z":
-            w = data["V_inv"].apply(vector)
-            r = data["rank_delta"]
-            if any(w[:r]):
-                raise ValueError("vector is not a cocycle")
-            z = w[r:]
-            y = data["rel_U"].apply(z)
-            out = []
-            for i in data["kept"]:
-                e = data["orders_full"][i]
-                out.append(y[i] % e if e else y[i])
-            return tuple(out)
-        if self.p:
-            vector = [v % self.p for v in vector]
-        if not self.is_cocycle(d, vector):
+        out, rel, _ = self._form(d)
+        reading = self._reading(d)
+        p = self.p
+        w = out.V_inv.apply(vector)
+        if any(w[i] % p if p else w[i] for i in reading["vanish"]):
             raise ValueError("vector is not a cocycle")
-        z = [self._scalar(vector[c]) for c in data["free_cols"]]
-        for row, c in zip(data["rref"], data["pivots"]):
-            f = z[c]
-            if f:
-                if self.p:
-                    z = [(a - f * b) % self.p for a, b in zip(z, row)]
-                else:
-                    z = [a - f * b for a, b in zip(z, row)]
-        return tuple(z[j] for j in data["free"])
+        y = rel.U.apply(w[out.rank:])
+        coords = ([w[i] for i in reading["tor"]]
+                  + [y[j] for j in reading["kept"]])
+        return tuple(c % m if m else c
+                     for c, m in zip(coords, reading["moduli"]))
 
 
 def check_subcomplex(sub, ambient):

@@ -3,8 +3,10 @@
 The workhorse is a sparse Smith normal form over ZZ with optional
 unimodular transforms (U * A * V = D together with both inverses), which
 yields ranks, torsion, kernel bases, and canonical coordinates all at
-once.  Small dense helpers over Fraction / GF(p) cover the field-side
-work.  Nothing here is numerical: every result is exact.
+once; cohomology over every coefficient ring is read off those forms.
+Small dense helpers over Fraction / GF(p) serve the Koszul oracle and
+independent cross-checks.  Nothing here is numerical: every result is
+exact.
 """
 
 from __future__ import annotations
@@ -528,33 +530,25 @@ def field_rank(rows, p=None):
     return field_echelon(rows, p)[0]
 
 
-def echelon_nullspace(rref, pivots, num_cols, p=None):
-    """Free columns and right-nullspace basis of a reduced echelon form.
-
-    Returns ``(free, basis)``: basis vector k is 1 at ``free[k]`` and 0
-    at every other free column, so a nullspace vector's coordinates in
-    this basis are its entries at the free columns, in order.
-    """
+def field_nullspace(rows, p=None):
+    """Basis of the right nullspace, one dense vector per free column."""
+    if not rows:
+        return []
+    num_cols = len(rows[0])
+    _, rref, pivots = field_echelon(rows, p)
     pivot_set = set(pivots)
-    free = [c for c in range(num_cols) if c not in pivot_set]
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
-    for f in free:
+    for f in range(num_cols):
+        if f in pivot_set:
+            continue
         vec = [zero] * num_cols
         vec[f] = one
         for r, c in enumerate(pivots):
             v = rref[r][f]
             vec[c] = (-v) % p if p else -v
         basis.append(vec)
-    return free, basis
-
-
-def field_nullspace(rows, p=None):
-    """Basis of the right nullspace, one dense vector per free column."""
-    if not rows:
-        return []
-    rank, rref, pivots = field_echelon(rows, p)
-    return echelon_nullspace(rref, pivots, len(rows[0]), p)[1]
+    return basis
 
 
 def field_solve(rows, rhs, p=None):

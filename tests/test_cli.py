@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -263,8 +265,12 @@ def test_internal_assertion_maps_to_exit_2(capsys, monkeypatch):
 
 
 def test_console_script_runs():
+    # the child needs the package on its path even when it is not installed
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     result = subprocess.run(
         [sys.executable, "-m", "momentangle.cli", "analyze", CYCLE4],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert json.loads(result.stdout)["command"] == "analyze"

@@ -258,13 +258,13 @@ def _explicit_certificates(K, battery):
 
 def test_rational_check_skipped_only_after_integral(monkeypatch):
     built = []
-    calculator = golod.CochainCalculator
+    induced_map = _PairEngine.induced_map
 
-    def recording(complex, coeffs="Z"):
+    def recording(self, subset_i, subset_j, coeffs):
         built.append(coeffs)
-        return calculator(complex, coeffs)
+        return induced_map(self, subset_i, subset_j, coeffs)
 
-    monkeypatch.setattr(golod, "CochainCalculator", recording)
+    monkeypatch.setattr(_PairEngine, "induced_map", recording)
     # each complex leaves some pairs to the battery; cycle 4 and 5 have
     # an essential pair, the others only Unknown ones
     for K in (cycle_complex(4), cycle_complex(5), full_skeleton(6, 1),

@@ -10,11 +10,13 @@ from momentangle import (
     CochainCalculator,
     HomologyGroup,
     InducedMap,
+    SimplicialComplex,
     boundary_simplex,
     connectivity_certificate,
     cycle_complex,
     full_mask,
     full_skeleton,
+    mask_vertices,
     new_complex,
     random_complex,
     reduced_cohomology,
@@ -24,11 +26,17 @@ from momentangle import (
     vertex_mask,
 )
 from momentangle.homology import (
+    DEFAULT_BATTERY,
     check_subcomplex,
     homology_degree_window,
     parse_coefficients,
 )
-from momentangle.linalg import field_echelon, field_nullspace, field_solve
+from momentangle.linalg import (
+    field_echelon,
+    field_nullspace,
+    field_rank,
+    field_solve,
+)
 
 from util import fixture_complex, random_antichain_complex, seeded
 
@@ -226,6 +234,10 @@ def _solve_route(calc, d):
 
 
 def test_free_column_readout_matches_solve_route():
+    """The Q and F_p readings of the integral Smith forms present the
+    same groups as the solve route, up to an invertible change of basis:
+    the route's coordinates of the new generators form an invertible M,
+    and on every cocycle its coordinates are the new ones times M."""
     rng = seeded(808)
     complexes = [random_complex(7, 2, 0.3, seed) for seed in range(3)]
     complexes += [random_complex(6, 1, 0.2, seed) for seed in range(4)]
@@ -233,10 +245,12 @@ def test_free_column_readout_matches_solve_route():
         K = random_complex(6, 1, 0.2, seed)
         complexes.append(K.restriction(vertex_mask([1, 2, 3])).join(
             K.restriction(vertex_mask([4, 5, 6]))))
-    checked = nonzero = 0
+    complexes.append(fixture_complex("rp2.json"))   # Tor generators over F2
+    checked = nonzero = rejected = 0
     for K in complexes:
-        for coeffs in ("Q", "F2", "F3"):
+        for coeffs in ("Q", "F2", "F3", "F5"):
             calc = CochainCalculator(K, coeffs)
+            p = calc.p
             for d in calc.degrees():
                 gens = calc.generators(d)
                 size = len(calc.faces(d - 1))
@@ -250,14 +264,24 @@ def test_free_column_readout_matches_solve_route():
                         [rng.randint(-2, 2) for _ in range(size)])
                     vectors.append([x + y for x, y in zip(combo, image)])
                 old_gens, old_coordinates = _solve_route(calc, d)
-                assert old_gens == gens
+                assert len(old_gens) == len(gens)
+                change = [list(old_coordinates(g)) for g in gens]
+                assert field_rank(change, p) == len(gens)
                 for v in vectors:
                     new, old = calc.class_coordinates(d, v), old_coordinates(v)
-                    assert new == old
-                    assert [type(x) for x in new] == [type(x) for x in old]
+                    via_new = [sum(c * row[k] for c, row in zip(new, change))
+                               for k in range(len(old))]
+                    assert [(a - b) % p if p else a - b
+                            for a, b in zip(via_new, old)] == [0] * len(old)
                     checked += 1
                     nonzero += any(new)
-    assert checked > 300 and nonzero > 100
+                # a random cochain that is no cocycle is rejected
+                v = [rng.randint(-2, 2) for _ in calc.faces(d)]
+                if not calc.is_cocycle(d, v):
+                    with pytest.raises(ValueError):
+                        calc.class_coordinates(d, v)
+                    rejected += 1
+    assert checked > 300 and nonzero > 100 and rejected > 50
 
 
 def test_class_coordinates_reject_non_cocycles():
@@ -272,9 +296,15 @@ def test_class_coordinates_reject_non_cocycles():
 
 def test_cochain_groups_match_reduced_cohomology():
     rng = seeded(25)
-    for _ in range(25):
-        K = random_antichain_complex(rng, rng.randint(1, 6))
-        for coeffs in ("Z", "F3"):
+    rp2 = fixture_complex("rp2.json")
+    ghosts = (1, 2, 4, 5, 7, 8)   # RP² with ghost vertices 3 and 6
+    corpus = [random_antichain_complex(rng, rng.randint(1, 6))
+              for _ in range(25)]
+    corpus += [rp2, SimplicialComplex(8, (
+        vertex_mask([ghosts[v - 1] for v in mask_vertices(f)])
+        for f in rp2.facets))]
+    for K in corpus:
+        for coeffs in DEFAULT_BATTERY:
             calc = CochainCalculator(K, coeffs)
             groups = reduced_cohomology(K, coeffs)
             for d in calc.degrees():
