@@ -72,7 +72,12 @@ def _text_lines(value, path=""):
         for key in sorted(value, key=str):
             yield from _text_lines(value[key], f"{path}.{key}" if path else str(key))
     else:
-        yield f"{path} = {json.dumps(value)}"
+        yield f"{path} = {json.dumps(value, default=_as_dict)}"
+
+
+def _as_dict(value):
+    """``json.dumps`` hook for report values kept as objects: their dict form."""
+    return value.as_dict()
 
 
 def _emit(report, fmt):
@@ -80,7 +85,74 @@ def _emit(report, fmt):
         for line in _text_lines(report):
             print(line)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
+
+
+# A JSON string never holds a raw newline, so only the empty summand list
+# itself can produce these bytes.
+_SUMMANDS_SLOT = '\n  "summands": []'
+
+
+def _json_text(report):
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)``.
+
+    With ``indent`` set, CPython's ``json`` falls back to its pure-Python
+    encoder, which dominated large ``hochster`` reports.  So a ``hochster``
+    report keeps its ``HochsterSummand`` objects, the rest is dumped with an
+    empty list in their place, and ``_summands_json`` writes the list there.
+    """
+    if report["command"] != "hochster":
+        return json.dumps(report, indent=2, sort_keys=True)
+    head, tail = json.dumps({**report, "summands": []},
+                            indent=2, sort_keys=True).split(_SUMMANDS_SLOT)
+    return f'{head}\n  "summands": {_summands_json(report["summands"])}{tail}'
+
+
+def _summands_json(summands):
+    """``HochsterSummand.as_dict`` of each summand, as the list at depth one
+    of an ``indent=2, sort_keys=True`` dump, written without the dicts.
+
+    The vertex items of a mask extend those of the mask without its top
+    vertex, and the text after them depends only on the shifted groups,
+    which many summands share; both are kept and reused.
+    """
+    if not summands:
+        return "[]"
+    vertex_items = {0: ""}
+
+    def items_of(mask):
+        text = vertex_items.get(mask)
+        if text is None:
+            top = mask.bit_length() - 1
+            text = vertex_items[mask] = f"{items_of(mask ^ (1 << top))},\n        {top}"
+        return text
+
+    group_texts = {}
+    out = []
+    for summand in summands:
+        mask = summand.subset_mask
+        vertices = f"[{items_of(mask)[1:]}\n      ]" if mask else "[]"
+        groups = summand.shifted_groups
+        text = group_texts.get(groups)
+        if text is None:
+            text = group_texts[groups] = _groups_json(groups)
+        out.append(f'\n      "I": {vertices}{text}')
+    return "[\n    {" + "\n    },\n    {".join(out) + "\n    }\n  ]"
+
+
+def _groups_json(groups):
+    """The ``degrees`` and ``torsion`` entries of one summand's dict."""
+    if len(groups) > 1:
+        # degree keys sort as strings: "10" before "9"
+        groups = sorted(groups, key=lambda item: str(item[0]))
+    degrees = ",".join(f'\n        "{d}": {g.rank}' for d, g in groups)
+    text = ',\n      "degrees": ' + (f"{{{degrees}\n      }}" if groups else "{}")
+    torsion = ",".join(
+        f'\n        "{d}": [' + ",".join(f"\n          {e}" for e in g.torsion)
+        + "\n        ]" for d, g in groups if g.torsion)
+    if torsion:
+        text += f',\n      "torsion": {{{torsion}\n      }}'
+    return text
 
 
 def _report(command, config, body):
@@ -95,7 +167,7 @@ def _report(command, config, body):
 
 def _cmd_analyze(args):
     complex = _load_complex(args.input)
-    # the face count and the neighbourliness walk every vertex subset
+    # the face count, which the neighbourliness reads, can hold every subset
     if complex.n > MAX_DECOMPOSITION_VERTICES:
         raise ValueError(f"analyze needs at most {MAX_DECOMPOSITION_VERTICES} "
                          f"vertices (it walks all 2^n subsets)")
@@ -126,7 +198,8 @@ def _cmd_hochster(args):
         "series": series.as_dict(),
         "series_pretty": series.pretty(),
         "total_rank": series.total_rank,
-        "summands": [s.as_dict() for s in summands],
+        # kept as objects: ``_json_text`` writes them, ``_as_dict`` for text
+        "summands": summands,
     }
     return _report("hochster", {"input": args.input, "coeffs": args.coeffs}, body)
 

@@ -14,6 +14,7 @@ is exactly what restrictions to a vertex subset produce.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 MAX_VERTICES = 63
@@ -267,13 +268,22 @@ class SimplicialComplex:
 
         This is the combinatorial input to topological statements about
         the realization, which ghost vertices cannot affect.
+
+        Every face lies on the s-vertex support, so every k-subset of it
+        is a face exactly when ``f_vector[k]`` is C(s, k).  A missing edge
+        shows in ``closed_neighbourhoods`` first, which spares the face
+        set of a complex that is not 2-neighbourly.
         """
-        verts = mask_vertices(self.support)
-        for size in range(1, len(verts) + 1):
-            for combo in itertools.combinations(verts, size):
-                if not self.is_face(vertex_mask(combo)):
-                    return size - 1
-        return len(verts)
+        support = self.support
+        s = support.bit_count()
+        if s >= 2 and any(closed != support
+                          for closed in self.closed_neighbourhoods if closed):
+            return 1
+        counts = self.f_vector
+        k = 0
+        while k + 1 < len(counts) and counts[k + 1] == math.comb(s, k + 1):
+            k += 1
+        return k
 
     @property
     def is_third_neighbourly(self):

@@ -311,6 +311,14 @@ def smith_normal_form(matrix, keep_transforms=False):
     carries unimodular U, V and their inverses with U @ A @ V diagonal.
     """
     m, n = matrix.num_rows, matrix.num_cols
+    if not m or not n:
+        # nothing to eliminate: the empty diagonal, identity transforms
+        if keep_transforms:
+            return SmithForm(m, n, [],
+                             U=IntMatrix.identity(m), V=IntMatrix.identity(n),
+                             U_inv=IntMatrix.identity(m),
+                             V_inv=IntMatrix.identity(n))
+        return SmithForm(m, n, [])
     work = _Sparse.from_matrix(matrix)
     if keep_transforms:
         tu, tu_inv = _Sparse.identity(m), _Sparse.identity(m)

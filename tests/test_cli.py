@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from momentangle import cli
+from momentangle import HochsterSummand, SimplicialComplex, cli
 
-from util import FIXTURES
+from util import FIXTURES, fixture_complex, gnp_flag, seeded
 
 CYCLE4 = str(FIXTURES / "cycle4.json")
 RP2 = str(FIXTURES / "rp2.json")
@@ -60,6 +60,125 @@ def test_hochster_report(capsys):
     assert flagged == [{"I": [1, 2, 3, 4, 5, 6],
                         "degrees": {"9": 0},
                         "torsion": {"9": [2]}}]
+
+
+def plain(report):
+    """The report with each summand in its ``as_dict`` form."""
+    return {**report, "summands": [s.as_dict() for s in report["summands"]]}
+
+
+def emitter_corpus():
+    """The fixtures, RP² with ghost vertices (torsion), {∅}, and seeded flag
+    complexes whose summands reach two-digit degrees."""
+    rp2 = fixture_complex("rp2.json")
+    corpus = [fixture_complex("cycle4.json"), rp2,
+              fixture_complex("nonneighbourly_regression.json", "complex"),
+              SimplicialComplex(rp2.n + 3, rp2.facets),
+              SimplicialComplex(0), SimplicialComplex(2)]
+    rng = seeded(61)
+    corpus += [gnp_flag(rng, 10, p) for p in (0.3, 0.5)]
+    return corpus
+
+
+def test_summand_emitter_matches_json_dumps(tmp_path):
+    two_digit = torsion = False
+    for k, K in enumerate(emitter_corpus()):
+        path = write_complex(tmp_path, f"in{k}.json", K.n,
+                             K.to_dict()["facets"])
+        for coeffs in ("Z", "Q", "F2"):
+            args = cli.build_parser().parse_args(["hochster", path,
+                                                  "--coeffs", coeffs])
+            report = args.handler(args)
+            assert all(isinstance(s, HochsterSummand)
+                       for s in report["summands"])
+            expected = plain(report)
+            assert cli._json_text(report) == json.dumps(
+                expected, indent=2, sort_keys=True)
+            assert (list(cli._text_lines(report))
+                    == list(cli._text_lines(expected)))
+            summands = expected["summands"]
+            two_digit |= any(len(d) > 1 for s in summands for d in s["degrees"])
+            torsion |= any("torsion" in s for s in summands)
+    assert two_digit and torsion
+
+
+HOCHSTER_CYCLE4_JSON = """{
+  "coeffs": "Z",
+  "command": "hochster",
+  "config": {
+    "coeffs": "Z",
+    "input": <input>
+  },
+  "schema": 2,
+  "series": {
+    "0": 1,
+    "3": 2,
+    "6": 1
+  },
+  "series_pretty": "1 + 2t^3 + t^6",
+  "summands": [
+    {
+      "I": [],
+      "degrees": {
+        "0": 1
+      }
+    },
+    {
+      "I": [
+        1,
+        3
+      ],
+      "degrees": {
+        "3": 1
+      }
+    },
+    {
+      "I": [
+        2,
+        4
+      ],
+      "degrees": {
+        "3": 1
+      }
+    },
+    {
+      "I": [
+        1,
+        2,
+        3,
+        4
+      ],
+      "degrees": {
+        "6": 1
+      }
+    }
+  ],
+  "total_rank": 4
+}
+"""
+
+HOCHSTER_CYCLE4_TEXT = """coeffs = "Z"
+command = "hochster"
+config.coeffs = "Z"
+config.input = <input>
+schema = 2
+series.0 = 1
+series.3 = 2
+series.6 = 1
+series_pretty = "1 + 2t^3 + t^6"
+summands = [{"I": [], "degrees": {"0": 1}}, {"I": [1, 3], "degrees": {"3": 1}}, \
+{"I": [2, 4], "degrees": {"3": 1}}, {"I": [1, 2, 3, 4], "degrees": {"6": 1}}]
+total_rank = 4
+"""
+
+
+def test_hochster_stdout_is_pinned(capsys):
+    source = json.dumps(CYCLE4)
+    for fmt, expected in (("json", HOCHSTER_CYCLE4_JSON),
+                          ("text", HOCHSTER_CYCLE4_TEXT)):
+        code, out, _ = run_cli(capsys, "hochster", CYCLE4, "--format", fmt)
+        assert code == 0
+        assert out == expected.replace("<input>", source)
 
 
 def test_golod_report(capsys):

@@ -19,7 +19,13 @@ from momentangle import (
 )
 from momentangle.complexes import iter_submasks, lowest_vertex
 
-from util import all_complexes_on, random_antichain_complex, seeded
+from util import (
+    all_complexes_on,
+    brute_neighbourliness,
+    fixture_complex,
+    random_antichain_complex,
+    seeded,
+)
 
 
 def test_mask_helpers_roundtrip():
@@ -257,6 +263,26 @@ def test_neighbourliness_definition_matches_scan():
             assert any(
                 not K.is_face(vertex_mask(c))
                 for c in itertools.combinations(range(1, n + 1), k + 1))
+
+
+def test_neighbourliness_matches_the_subset_scan():
+    rp2 = fixture_complex("rp2.json")
+    corpus = [SimplicialComplex(0), SimplicialComplex(3), rp2,
+              SimplicialComplex(rp2.n + 2, rp2.facets)]
+    corpus += [simplex(n) for n in range(7)]
+    for n in range(1, 9):
+        for k in range(-1, n):
+            corpus += [full_skeleton(n, k),
+                       SimplicialComplex(n + 2, full_skeleton(n, k).facets)]
+    rng = seeded(44)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        K = random_complex(n, rng.randint(0, min(n, 3)), 0.5, rng.randrange(99))
+        corpus += [K.restriction(bits << 1) for bits in range(1 << n)]
+    for K in corpus:
+        assert (K.support_neighbourliness
+                == brute_neighbourliness(K, K.support)), K
+        assert K.neighbourliness == brute_neighbourliness(K, full_mask(K.n)), K
 
 
 def test_random_complex_honours_floor_and_seed():

@@ -109,6 +109,21 @@ def test_smith_transforms_are_unimodular():
         assert snf.V @ snf.V_inv == IntMatrix.identity(A.num_cols)
 
 
+def smith_fields(form):
+    return (form.num_rows, form.num_cols, form.diagonal,
+            form.U, form.V, form.U_inv, form.V_inv)
+
+
+def test_smith_of_a_matrix_without_rows_or_columns():
+    for m, n in ((0, 4), (4, 0), (0, 0)):
+        A = IntMatrix(m, n)
+        assert smith_fields(smith_normal_form(A)) == (
+            m, n, [], None, None, None, None)
+        assert smith_fields(smith_normal_form(A, keep_transforms=True)) == (
+            m, n, [], IntMatrix.identity(m), IntMatrix.identity(n),
+            IntMatrix.identity(m), IntMatrix.identity(n))
+
+
 def test_rank_mod_matches_invariant_factors():
     rng = seeded(14)
     for _ in range(80):

@@ -13,6 +13,7 @@ from momentangle import (
     in_split_region,
     mask_vertices,
     new_complex,
+    vertex_mask,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -81,7 +82,19 @@ def gnp_flag(rng, n, p):
 
 
 # ----------------------------------------------------------------------
-# slow-path oracles for the cluster shortcuts
+# slow-path oracles for the shortcuts
+
+
+def brute_neighbourliness(K, mask):
+    """Largest k such that every k-subset of ``mask`` is a face of K, by
+    testing subsets one by one in increasing size until the first
+    non-face.  ``K.support`` gives the support neighbourliness."""
+    verts = mask_vertices(mask)
+    for size in range(1, len(verts) + 1):
+        for combo in itertools.combinations(verts, size):
+            if not K.is_face(vertex_mask(combo)):
+                return size - 1
+    return len(verts)
 
 
 def brute_split_tags(y):
