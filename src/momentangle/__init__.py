@@ -89,7 +89,6 @@ from momentangle.linalg import (
     SmithForm,
     field_nullspace,
     field_rank,
-    quotient_group,
     rank_mod_p,
     smith_normal_form,
 )

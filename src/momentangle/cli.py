@@ -11,6 +11,7 @@ assertion trips.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -391,10 +392,13 @@ def build_parser():
     return parser
 
 
+# A parse leaves the parser as it was, so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

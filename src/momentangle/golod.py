@@ -10,12 +10,11 @@ suffices (contractible source or target, dimension below the join's
 connectivity) and otherwise computes the induced cohomology maps
 exactly, over ZZ, QQ and small prime fields.
 
-The join is not built to compute a map.  By Künneth its cohomology is
-spanned by cross products of the factors' classes, so each pair map is
-read off the cached calculators of I, J and I ∪ J
-(``CrossProductMap``).  The one exception is a ZZ pair whose sides
-share a torsion prime: there the join has a Tor summand that no cross
-product reaches, and that map alone builds the join and its calculator.
+The join is never built.  By Künneth its cohomology is spanned by cross
+products of the factors' classes and, over ZZ, by one class per pair of
+torsion classes whose orders share a prime (the Tor summand), so each
+pair map is read off the cached calculators of I, J and I ∪ J
+(``CrossProductMap``).
 
 A certificate stops at the first nonzero map, so a QQ check that
 follows a zero ZZ map in the battery is skipped: by the universal
@@ -47,7 +46,6 @@ from momentangle.homology import (
     DEFAULT_BATTERY,
     CochainCalculator,
     GradedMap,
-    InducedMap,
     connectivity_certificate,
 )
 from momentangle.hochster import wedge_model
@@ -195,30 +193,25 @@ def _cross_product_cochains(faces, mask_i, index_i, alphas, index_j, betas):
     return out
 
 
-def _share_torsion_prime(calc_i, calc_j):
-    """Whether some torsion orders of the two cohomologies share a prime,
-    so that the Künneth formula has a Tor summand."""
-    def torsion(calc):
-        return [e for d in calc.degrees() for e in calc.orders(d) if e > 1]
-    orders_j = torsion(calc_j)
-    return any(math.gcd(a, b) > 1 for a in torsion(calc_i) for b in orders_j)
-
-
 class CrossProductMap(GradedMap):
     """The map H̃^*(K_I * K_J) → H̃^*(K_{I∪J}) read from the factors.
 
     The join's reduced cochains are the tensor product of the factors'
-    (shifted by one), so by Künneth its cohomology in degree d holds the
-    cross products α × β, α a generator of H̃^p(K_I) and β one of
-    H̃^q(K_J), p + q + 1 = d; the empty face sits in degree -1, so a side
-    of ghost vertices needs no special case.  Column (α, β) of
-    ``matrix(d)`` is the class in H̃^d(K_{I∪J}) of the restricted cross
-    product, f ↦ sign(f∩I, f∩J)·α(f∩I)·β(f∩J), with entries reduced
-    modulo the target's orders as in ``InducedMap``.
+    (shifted by one), and δ(u × v) = δu × v + (-1)^{|u|+1} u × δv.  By
+    Künneth its cohomology in degree d is spanned by
 
-    Over a field, and over ``Z`` when no torsion prime of K_I is one of
-    K_J, the cross products generate the join's cohomology (the Tor
-    summand vanishes), so zero tests and ``nonzero_degrees`` are exact.
+    - the cross products α × β, α a generator of H̃^p(K_I) and β one of
+      H̃^q(K_J), p + q + 1 = d; the empty face sits in degree -1, so a
+      side of ghost vertices needs no special case;
+    - over ``Z``, one Tor class for each torsion generator α of H̃^p(K_I)
+      (δa = eα) and β of H̃^q(K_J) (δb = fβ), p + q = d, with
+      g = gcd(e, f) > 1: the cocycle (f/g)·a × β + (-1)^p (e/g)·α × b.
+
+    Column k of ``matrix(d)`` is the class in H̃^d(K_{I∪J}) of the k-th
+    of these cochains restricted, f ↦ sign(f∩I, f∩J)·u(f∩I)·v(f∩J), with
+    entries reduced modulo the target's orders as in ``InducedMap``.  The
+    columns generate the image, so zero tests and ``nonzero_degrees`` are
+    exact over every coefficient system.
     """
 
     def __init__(self, calc_i, calc_j, target):
@@ -237,34 +230,59 @@ class CrossProductMap(GradedMap):
             return self._matrices[d]
         target = self.target
         target_orders = target.orders(d) if d <= target.complex.dim else ()
-        columns = []
+        cochains = []
         if target_orders:
             dim_i, dim_j = self.calc_i.complex.dim, self.calc_j.complex.dim
             for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
-                alphas = self.calc_i.generators(p)
-                betas = self.calc_j.generators(d - 1 - p)
-                if alphas and betas:
-                    columns += [target.class_coordinates(d, cochain)
-                                for cochain in _cross_product_cochains(
-                                    target.faces(d),
-                                    self.calc_i.complex.support,
-                                    self.calc_i.face_index(p), alphas,
-                                    self.calc_j.face_index(d - 1 - p), betas)]
+                cochains += self._cross(d, p, self.calc_i.generators(p),
+                                        self.calc_j.generators(d - 1 - p))
+            for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
+                cochains += self._tor_cochains(d, p)
+        columns = [target.class_coordinates(d, c) for c in cochains]
         rows = [[col[i] for col in columns] for i in range(len(target_orders))]
         self._matrices[d] = rows
         return rows
 
+    def _cross(self, d, p, lefts, rights):
+        """Restricted u × v for u in ``lefts`` (p-cochains of K_I) and v in
+        ``rights`` ((d - 1 - p)-cochains of K_J), u major."""
+        if not (lefts and rights):
+            return []
+        return _cross_product_cochains(
+            self.target.faces(d), self.calc_i.complex.support,
+            self.calc_i.face_index(p), lefts,
+            self.calc_j.face_index(d - 1 - p), rights)
+
+    def _tor_cochains(self, d, p):
+        """The Tor cocycles of degree d from H̃^p(K_I) and H̃^{d-p}(K_J)."""
+        tors_i = self.calc_i.torsion_primitives(p)
+        tors_j = self.calc_j.torsion_primitives(d - p)
+        orders = [(e, f) for _, e, _ in tors_i for _, f, _ in tors_j]
+        if all(math.gcd(e, f) == 1 for e, f in orders):
+            return []
+        a_beta = self._cross(d, p - 1, [a for _, _, a in tors_i],
+                             [beta for beta, _, _ in tors_j])
+        alpha_b = self._cross(d, p, [alpha for alpha, _, _ in tors_i],
+                              [b for _, _, b in tors_j])
+        sign = -1 if p % 2 else 1
+        out = []
+        for (e, f), u, v in zip(orders, a_beta, alpha_b):
+            g = math.gcd(e, f)
+            if g > 1:
+                out.append([f // g * x + sign * (e // g) * y
+                            for x, y in zip(u, v)])
+        return out
+
 
 class _PairEngine:
-    """Per-run caches for restrictions, joins, calculators and induced maps,
-    plus the one pair walk and the one pair-report builder."""
+    """Per-run caches for restrictions, calculators and induced maps, plus
+    the one pair walk and the one pair-report builder."""
 
     def __init__(self, complex):
         self.complex = complex
         self._restrictions = {}
         self._connectivity = {}
         self._calculators = {}
-        self._joins = {}
         self._induced = {}
 
     def restriction(self, mask):
@@ -289,32 +307,15 @@ class _PairEngine:
             self._calculators[key] = self._calculators[mask, "Z"].over(coeffs)
         return self._calculators[key]
 
-    def join(self, subset_i, subset_j):
-        key = (subset_i, subset_j)
-        if key not in self._joins:
-            self._joins[key] = self.restriction(subset_i).join(
-                self.restriction(subset_j))
-        return self._joins[key]
-
     def induced_map(self, subset_i, subset_j, coeffs):
-        """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J.
-
-        It is read from the cached calculators of I, J and I ∪ J as a
-        ``CrossProductMap``.  Only a ``Z`` pair whose sides share a
-        torsion prime, where cross products miss the Tor summand of the
-        join, builds the join and its calculator.
-        """
+        """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J, read from
+        the cached calculators of I, J and I ∪ J as a ``CrossProductMap``."""
         key = (subset_i, subset_j, coeffs)
         if key not in self._induced:
-            calc_i = self.calculator(subset_i, coeffs)
-            calc_j = self.calculator(subset_j, coeffs)
-            target = self.calculator(subset_i | subset_j, coeffs)
-            if coeffs == "Z" and _share_torsion_prime(calc_i, calc_j):
-                self._induced[key] = InducedMap(
-                    target,
-                    CochainCalculator(self.join(subset_i, subset_j), coeffs))
-            else:
-                self._induced[key] = CrossProductMap(calc_i, calc_j, target)
+            self._induced[key] = CrossProductMap(
+                self.calculator(subset_i, coeffs),
+                self.calculator(subset_j, coeffs),
+                self.calculator(subset_i | subset_j, coeffs))
         return self._induced[key]
 
     def certificates(self, battery):

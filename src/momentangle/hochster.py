@@ -106,6 +106,22 @@ class HochsterSummand:
     def vertices(self):
         return mask_vertices(self.subset_mask)
 
+    @property
+    def is_spheres(self):
+        """Whether the groups are free, so that Σ^{|I|+1}|K_I| is modeled by
+        a wedge of spheres."""
+        return all(not g.torsion for _, g in self.shifted_groups)
+
+    @property
+    def sphere_degrees(self):
+        """Ambient sphere dimensions with multiplicity, when free."""
+        if not self.is_spheres:
+            return []
+        out = []
+        for degree, group in self.shifted_groups:
+            out.extend([degree] * group.rank)
+        return out
+
     def as_dict(self):
         out = {"I": list(self.vertices),
                "degrees": {str(deg): g.rank for deg, g in self.shifted_groups}}
@@ -212,41 +228,9 @@ def series_from_decomposition(summands):
     return PoincareSeries(ranks)
 
 
-class WedgeSummand:
-    """A suspended restriction Σ^{|I|+1}|K_I| inside the wedge model."""
-
-    def __init__(self, subset_mask, shifted_groups):
-        self.subset_mask = subset_mask
-        self.shifted_groups = tuple(shifted_groups)
-        self.is_spheres = all(not g.torsion for _, g in shifted_groups)
-
-    @property
-    def vertices(self):
-        return mask_vertices(self.subset_mask)
-
-    @property
-    def sphere_degrees(self):
-        """Ambient sphere dimensions with multiplicity, when free."""
-        if not self.is_spheres:
-            return []
-        out = []
-        for degree, group in self.shifted_groups:
-            out.extend([degree] * group.rank)
-        return out
-
-    def as_dict(self):
-        out = {"I": list(self.vertices),
-               "degrees": {str(d): g.rank for d, g in self.shifted_groups}}
-        if self.is_spheres:
-            out["spheres"] = self.sphere_degrees
-        else:
-            out["torsion"] = {str(d): list(g.torsion)
-                              for d, g in self.shifted_groups if g.torsion}
-        return out
-
-
 class WedgeModel:
-    """Candidate wedge decomposition: one summand per contributing I ≠ ∅.
+    """Candidate wedge decomposition: the Hochster summand Σ^{|I|+1}|K_I|
+    of each contributing I ≠ ∅.
 
     ``is_complete`` means every summand has free cohomology, so each is
     modeled by a wedge of spheres and the whole model is one big wedge.
@@ -270,7 +254,12 @@ class WedgeModel:
         return series
 
     def as_dict(self):
-        return {"summands": [s.as_dict() for s in self.summands],
+        summands = []
+        for s in self.summands:
+            summands.append(s.as_dict())
+            if s.is_spheres:
+                summands[-1]["spheres"] = s.sphere_degrees
+        return {"summands": summands,
                 "is_complete": self.is_complete,
                 "spheres": self.sphere_degrees if self.is_complete else None}
 
@@ -281,9 +270,8 @@ def wedge_model(complex, coeffs="Z"):
     Filters out the unit (I = ∅); summands with torsion are kept but
     flagged, and make the model incomplete.
     """
-    summands = hochster_decomposition(complex, coeffs)
-    return WedgeModel(WedgeSummand(s.subset_mask, s.shifted_groups)
-                      for s in summands if s.subset_mask)
+    return WedgeModel(s for s in hochster_decomposition(complex, coeffs)
+                      if s.subset_mask)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,10 @@ Every coefficient system reads its basis off one integral presentation,
 the Smith forms of the coboundaries (``CochainCalculator``).
 
 ``InducedMap`` reads such a map off the calculators of both complexes.
-The pair maps into a join K_I * K_J do not need the join's calculator:
-by Künneth they are read from the factors' cached classes as cross
-products (``golod.CrossProductMap``), and the join is built only for a
-``Z`` pair whose sides share a torsion prime.
+The pair maps into a join K_I * K_J never need the join's calculator: by
+Künneth they are read from the factors' cached classes, as cross
+products and Tor classes (``golod.CrossProductMap``), and over ``Z``
+``torsion_primitives`` gives the cochains the Tor classes are built from.
 """
 
 from __future__ import annotations
@@ -327,6 +327,22 @@ class CochainCalculator:
 
     def generators(self, d):
         return self._reading(d)["generators"]
+
+    def torsion_primitives(self, d):
+        """``(α, e, a)`` for each torsion generator α of H̃^d over ``Z``:
+        its order e and a cochain a ∈ C^{d-1} with δa = e·α.
+
+        a is column j of ``rel``'s transform V: ``out``'s V⁻¹δ_{d-1} has no
+        rows above r, and ``rel`` diagonalises rows r.., so δ_{d-1} sends
+        that column to e_j times generator j.  Empty over a field.
+        """
+        if self.kind != "Z":
+            return []
+        _, rel, orders = self._form(d)
+        reading = self._reading(d)
+        return [(alpha, orders[j], rel.V.column(j))
+                for j, alpha in zip(reading["kept"], reading["generators"])
+                if orders[j] > 1]
 
     def group(self, d):
         orders = self.orders(d)

@@ -276,10 +276,6 @@ class SmithForm:
     def torsion(self):
         return [d for d in self.diagonal if d > 1]
 
-    def rank_mod(self, p):
-        """Rank of the matrix over GF(p): factors not divisible by p."""
-        return sum(1 for d in self.diagonal if d % p)
-
     def as_matrix(self):
         return IntMatrix(self.num_rows, self.num_cols,
                          {(i, i): d for i, d in enumerate(self.diagonal)})
@@ -428,25 +424,6 @@ def smith_normal_form(matrix, keep_transforms=False):
                          U_inv=tu_inv.to_matrix(m, m),
                          V_inv=tv_inv.to_matrix(n, n))
     return SmithForm(m, n, diagonal)
-
-
-def quotient_group(boundary_in, boundary_out):
-    """Structure of ker(boundary_out) / im(boundary_in) over ZZ.
-
-    Requires boundary_out @ boundary_in = 0.  Returns (rank, torsion)
-    where torsion lists the invariant factors greater than one.  The
-    kernel of an integer matrix is a saturated (hence direct) summand,
-    so the torsion of the quotient is exactly the torsion of the
-    cokernel of boundary_in.
-    """
-    if boundary_out.num_cols != boundary_in.num_rows:
-        raise ValueError("boundary shapes do not compose")
-    if not (boundary_out @ boundary_in).is_zero:
-        raise ValueError("maps do not form a complex")
-    incoming = smith_normal_form(boundary_in)
-    outgoing = smith_normal_form(boundary_out)
-    rank = boundary_out.num_cols - outgoing.rank - incoming.rank
-    return rank, incoming.torsion
 
 
 def rank_mod_p(matrix, p):

@@ -374,6 +374,24 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "generate", "simplex")[0] == 1
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # defaults after explicit flags, and a usage error mid-sequence
+    calls = [("hochster", RP2, "--coeffs", "F2", "--format", "text"),
+             ("theorem", "--bogus", CYCLE4),
+             ("hochster", RP2),
+             ("golod", CYCLE4, "--coeffs", "Z,F2"),
+             ("analyze",),
+             ("theorem", CYCLE4, "--format", "text"),
+             ("generate", "cycle", "--n", "5"),
+             ("cluster", "verify", "--n", "4", "--samples", "5")]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 0, 0, 0]
+    assert json.loads(shared[2][1])["config"]["coeffs"] == "Z"
+
+
 def test_internal_assertion_maps_to_exit_2(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("tripped for the test")

@@ -10,7 +10,6 @@ from momentangle import (
     IntMatrix,
     field_nullspace,
     field_rank,
-    quotient_group,
     rank_mod_p,
     smith_normal_form,
 )
@@ -130,23 +129,7 @@ def test_rank_mod_matches_invariant_factors():
         A = random_int_matrix(rng)
         snf = smith_normal_form(A)
         for p in (2, 3, 5):
-            assert rank_mod_p(A, p) == snf.rank_mod(p)
-
-
-def test_quotient_group_structure():
-    # cokernel of diag(2, 3) inside Z^2 with no outgoing constraint
-    incoming = IntMatrix.from_rows([[2, 0], [0, 3]])
-    outgoing = IntMatrix(0, 2)
-    assert quotient_group(incoming, outgoing) == (0, [6])
-    # free quotient: a single column spanning a saturated line in Z^2
-    incoming = IntMatrix.from_rows([[1], [0]])
-    assert quotient_group(incoming, IntMatrix(0, 2)) == (1, [])
-    # boundary maps that do not compose are rejected
-    bad_out = IntMatrix.from_rows([[1, 1]])
-    with pytest.raises(ValueError):
-        quotient_group(IntMatrix.from_rows([[1], [1]]), bad_out)
-    with pytest.raises(ValueError):
-        quotient_group(IntMatrix(3, 1), IntMatrix(1, 2))
+            assert rank_mod_p(A, p) == sum(1 for d in snf.diagonal if d % p)
 
 
 def test_field_echelon_over_rationals_and_primes():
