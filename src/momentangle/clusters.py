@@ -1,15 +1,23 @@
 """Exact rational geometry for the blocked-smash comultiplication layer.
 
-Everything in this module runs on :class:`fractions.Fraction`.  Points of
-the open cube carry cluster statistics (how tightly coordinates bunch
-together, measured against their overall spread); those statistics cut the
-cube into a disjoint family of split regions, each star-shaped about an
-explicit center.  An exact radial gauge identifies every split region
-with the open cube again, and on top of that sit the pointwise evaluators:
-the tagging map that pushes suspension parameters into a blocked smash
-product, its per-split factors, the pinch map that routes a point to the
-unique split region containing it, and the straight-line homotopy tying
-the tagging map to the pinched composite.
+Points of the open cube carry cluster statistics (how tightly coordinates
+bunch together, measured against their overall spread); those statistics
+cut the cube into a disjoint family of split regions, each star-shaped
+about an explicit center.  An exact radial gauge identifies every split
+region with the open cube again, and on top of that sit the pointwise
+evaluators: the tagging map that pushes suspension parameters into a
+blocked smash product, its per-split factors, the pinch map that routes a
+point to the unique split region containing it, and the straight-line
+homotopy tying the tagging map to the pinched composite.
+
+Points come in and go out as :class:`fractions.Fraction` tuples, but the
+geometry runs on integers: each anchored point is scaled once to integer
+numerators over the lcm of its denominators (:func:`_scaled`).  On those
+the region test, the cluster radii, the level blocks, the damping
+weights and the gauge's conditions are integer comparisons with no
+division; a ``Fraction`` is built only where a quotient is real (the
+gauge's exit radius, the damping factors and the points they move) and
+for the statistics handed back to the caller.
 
 Two shortcuts keep the pointwise work small.  A block's cluster radii all
 come from one sort of the block (:func:`cluster_radii`).  A point's split
@@ -17,9 +25,8 @@ regions are found from the cuts of its sorted anchored coordinates
 (:func:`split_tags`): a region's high block sits strictly above its low
 block, so only the at most ``n - 1`` cuts between unequal values can be
 tags, and the ``2^n`` balanced splits are never scanned per point.
-The region test (:func:`split_region_statistics`) also hands back the
-spread and radii it computed, one ray routine serves the gauge both ways,
-and every smashed-model evaluator opens with the same validation.
+One ray routine serves the gauge both ways, and every smashed-model
+evaluator opens with the same validation.
 
 No floating point and no approximation is used anywhere: membership
 predicates and the gauge are exact.
@@ -27,6 +34,7 @@ predicates and the gauge are exact.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .complexes import full_mask, mask_vertices
 
@@ -71,8 +79,39 @@ def anchored(y):
     return rational_point(y) + (_ZERO,)
 
 
+def _scaled(point):
+    """``(numerators, den)``: a Fraction point over the lcm of its denominators."""
+    dens = [c.denominator for c in point]
+    den = lcm(*dens)
+    return tuple(c.numerator * (den // d) for c, d in zip(point, dens)), den
+
+
 # ----------------------------------------------------------------------
 # cluster statistics
+
+
+def _radii(nums, subset_mask):
+    """:func:`cluster_radii` of an integer point, as integers."""
+    m = len(nums) // 3
+    members = sorted(mask_vertices(subset_mask), key=lambda v: nums[v - 1])
+    if m == 0 or len(members) <= m:
+        return dict.fromkeys(members, 0)
+    values = [nums[v - 1] for v in members]
+    size = len(values)
+    radii = {}
+    for p, here in enumerate(values):
+        left, right = p - 1, p + 1
+        below = here - values[left] if left >= 0 else None
+        above = values[right] - here if right < size else None
+        for _ in range(m):
+            if above is None or (below is not None and below <= above):
+                gap, left = below, left - 1
+                below = here - values[left] if left >= 0 else None
+            else:
+                gap, right = above, right + 1
+                above = values[right] - here if right < size else None
+        radii[members[p]] = gap
+    return radii
 
 
 def cluster_radii(z, subset_mask):
@@ -89,26 +128,8 @@ def cluster_radii(z, subset_mask):
     z = rational_point(z)
     if subset_mask & ~full_mask(len(z)):
         raise ValueError(f"block must hold only vertices 1..{len(z)}")
-    m = len(z) // 3
-    members = sorted(mask_vertices(subset_mask), key=lambda v: z[v - 1])
-    if m == 0 or len(members) <= m:
-        return dict.fromkeys(members, _ZERO)
-    values = [z[v - 1] for v in members]
-    size = len(values)
-    radii = {}
-    for p, here in enumerate(values):
-        left, right = p - 1, p + 1
-        below = here - values[left] if left >= 0 else None
-        above = values[right] - here if right < size else None
-        for _ in range(m):
-            if above is None or (below is not None and below <= above):
-                gap, left = below, left - 1
-                below = here - values[left] if left >= 0 else None
-            else:
-                gap, right = above, right + 1
-                above = values[right] - here if right < size else None
-        radii[members[p]] = gap
-    return radii
+    nums, den = _scaled(z)
+    return {v: Fraction(r, den) for v, r in _radii(nums, subset_mask).items()}
 
 
 def cluster_radius(z, subset_mask, i):
@@ -131,7 +152,16 @@ def normalized_spread(z):
     z = rational_point(z)
     if not z:
         raise ValueError("spread of an empty point")
-    return (max(z) - min(z)) / len(z)
+    nums, den = _scaled(z)
+    return Fraction(max(nums) - min(nums), len(z) * den)
+
+
+def _level_blocks(nums, vertices):
+    """Vertex masks of equal integer value, lowest value first."""
+    blocks = {}
+    for v, t in zip(vertices, nums):
+        blocks[t] = blocks.get(t, 0) | (1 << v)
+    return [blocks[t] for t in sorted(blocks)]
 
 
 def partition_from_point(values, vertices_mask=None):
@@ -144,13 +174,10 @@ def partition_from_point(values, vertices_mask=None):
     values = rational_point(values)
     if vertices_mask is None:
         vertices_mask = full_mask(len(values))
-    verts = tuple(mask_vertices(vertices_mask))
+    verts = mask_vertices(vertices_mask)
     if len(verts) != len(values):
         raise ValueError("value sequence does not match the vertex set")
-    blocks = {}
-    for v, t in zip(verts, values):
-        blocks[t] = blocks.get(t, 0) | (1 << v)
-    return tuple(mask for _, mask in sorted(blocks.items()))
+    return tuple(_level_blocks(_scaled(values)[0], verts))
 
 
 # ----------------------------------------------------------------------
@@ -190,16 +217,52 @@ def _validate_split(low_mask, high_mask, n):
 def _require_open_cube(y):
     if not y:
         raise ValueError("empty point")
-    if any(abs(t) >= 1 for t in y):
+    # |t| >= 1, read off numerator and denominator
+    if any(abs(t.numerator) >= t.denominator for t in y):
         raise ValueError("point must lie strictly inside the cube")
+
+
+def _tight_radii(nums, width, blocks):
+    """Each block's integer radii, or ``None`` once one reaches the spread.
+
+    ``width`` is ``max(nums) - min(nums)``, so a radius stays below the
+    spread exactly when ``n·radius < width``.  Blocks are taken one at a
+    time, so a failing block spares the later blocks' radii.
+    """
+    n = len(nums)
+    out = []
+    for block in blocks:
+        radii = _radii(nums, block)
+        if any(n * r >= width for r in radii.values()):
+            return None
+        out.append(radii)
+    return out
+
+
+def _region_radii(nums, low_mask, high_mask):
+    """The region test of an anchored integer point.
+
+    Returns ``(width, low_radii, high_radii)`` in the units of ``nums``
+    (``width = max - min``), or ``None`` outside the region.  The gap
+    test ``n·gap > width`` is cheap and comes first.
+    """
+    width = max(nums) - min(nums)
+    gap = min(nums[j - 1] for j in mask_vertices(high_mask)) - max(
+        nums[i - 1] for i in mask_vertices(low_mask)
+    )
+    if len(nums) * gap <= width:
+        return None
+    radii = _tight_radii(nums, width, (low_mask, high_mask))
+    return None if radii is None else (width, *radii)
 
 
 def in_cluster_region(y):
     """Every coordinate of the extended point clusters tighter than the spread."""
     y = rational_point(y)
     _require_open_cube(y)
-    z = anchored(y)
-    return max_cluster_radius(z, full_mask(len(z))) < normalized_spread(z)
+    nums, _ = _scaled(anchored(y))
+    width = max(nums) - min(nums)
+    return _tight_radii(nums, width, (full_mask(len(nums)),)) is not None
 
 
 def split_region_statistics(y, low_mask, high_mask):
@@ -216,19 +279,16 @@ def split_region_statistics(y, low_mask, high_mask):
     _require_open_cube(y)
     n = len(y) + 1
     _validate_split(low_mask, high_mask, n)
-    z = anchored(y)
-    spread = normalized_spread(z)
-    gap = min(z[j - 1] for j in mask_vertices(high_mask)) - max(
-        z[i - 1] for i in mask_vertices(low_mask)
-    )
-    if gap <= spread:
+    nums, den = _scaled(anchored(y))
+    stats = _region_radii(nums, low_mask, high_mask)
+    if stats is None:
         return None
-    radii = []
-    for block in (low_mask, high_mask):
-        radii.append(cluster_radii(z, block))
-        if any(radius >= spread for radius in radii[-1].values()):
-            return None
-    return spread, radii[0], radii[1]
+    width, low_radii, high_radii = stats
+    return (
+        Fraction(width, n * den),
+        {v: Fraction(r, den) for v, r in low_radii.items()},
+        {v: Fraction(r, den) for v, r in high_radii.items()},
+    )
 
 
 def in_split_region(y, low_mask, high_mask):
@@ -242,25 +302,34 @@ def split_tags(y):
     A region point's high block sits strictly above its low block, so the
     low block is a prefix of the anchored point's sorted vertices that
     ends between two unequal values and leaves more than ``n/3`` vertices
-    on each side.  Each such cut (at most ``n - 1``) is confirmed with
-    :func:`in_split_region`.  The regions are disjoint, so a point has at
+    on each side.  Each such cut (at most ``n - 1``) is confirmed by the
+    integer region test.  The regions are disjoint, so a point has at
     most one tag; more than one would be an overlap.
     """
     y = rational_point(y)
     _require_open_cube(y)
-    n = len(y) + 1
-    z = anchored(y)
-    order = sorted(range(1, n + 1), key=lambda v: z[v - 1])
+    nums, _ = _scaled(anchored(y))
+    n = len(nums)
+    order = sorted(range(1, n + 1), key=lambda v: nums[v - 1])
     everything = full_mask(n)
     tags = []
     low = 0
     for k, (v, w) in enumerate(zip(order, order[1:]), start=1):
         low |= 1 << v
         high = everything ^ low
-        if 3 * k > n and 3 * (n - k) > n and z[v - 1] < z[w - 1]:
-            if in_split_region(y, low, high):
+        if 3 * k > n and 3 * (n - k) > n and nums[v - 1] < nums[w - 1]:
+            if _region_radii(nums, low, high) is not None:
                 tags.append((low, high))
     return sorted(tags)
+
+
+def _center_halves(low_mask, high_mask, n):
+    """Twice the split center: each coordinate -1, 0 or 1."""
+    _validate_split(low_mask, high_mask, n)
+    low_value, high_value = (-1, 0) if high_mask & (1 << n) else (0, 1)
+    return tuple(
+        low_value if low_mask & (1 << k) else high_value for k in range(1, n)
+    )
 
 
 def split_center(low_mask, high_mask, n):
@@ -269,13 +338,18 @@ def split_center(low_mask, high_mask, n):
     The block holding the anchor vertex ``n`` sits at its anchor value 0;
     the other block sits half a unit away on the correct side.
     """
-    _validate_split(low_mask, high_mask, n)
-    if high_mask & (1 << n):
-        low_value, high_value = -_HALF, _ZERO
-    else:
-        low_value, high_value = _ZERO, _HALF
+    values = (-_HALF, _ZERO, _HALF)
+    return tuple(values[h + 1] for h in _center_halves(low_mask, high_mask, n))
+
+
+def _contraction_step(y, low_mask, high_mask, t):
+    """``(1 - t)·y + t·center``, one Fraction per coordinate, unchecked."""
+    halves = _center_halves(low_mask, high_mask, len(y) + 1)
+    nums, den = _scaled(y)
+    a, b = t.numerator, t.denominator
     return tuple(
-        low_value if low_mask & (1 << k) else high_value for k in range(1, n)
+        Fraction(2 * (b - a) * c + a * h * den, 2 * b * den)
+        for c, h in zip(nums, halves)
     )
 
 
@@ -287,8 +361,7 @@ def contract_toward_center(y, low_mask, high_mask, t):
         raise ValueError("contraction time must lie in [0, 1]")
     if not in_split_region(y, low_mask, high_mask):
         raise ValueError("point is outside the split region")
-    center = split_center(low_mask, high_mask, len(y) + 1)
-    return tuple((_ONE - t) * yk + t * bk for yk, bk in zip(y, center))
+    return _contraction_step(y, low_mask, high_mask, t)
 
 
 # ----------------------------------------------------------------------
@@ -299,36 +372,43 @@ def _gauge_radius(low_mask, high_mask, offset):
     """Exact exit radius of the region ray from the center through ``offset``.
 
     The one ray routine of the gauge and its inverse.  ``offset`` is a
-    nonzero step from the center; the radius is measured along its
-    max-norm unit direction ``u``, anchored by a 0.  Each
-    block is constant at the center, so along ``center + r·u`` the gap is
-    ``1/2 + r·G``, each cluster radius is ``r·ρ_i`` and, while the high
-    block stays above the low one, ``n·spread`` is ``1/2 + r·S``.
-    Membership is then a family of conditions ``A + B·r > 0``, each true
-    at ``r = 0``; the radius is the first root ``A / -B`` with ``B < 0``,
-    or the cube exit if that comes first.  Every point before it lies in
-    the region, the point at it does not.
+    nonzero step from the center, as integer numerators over any common
+    denominator; the radius is measured along its max-norm unit
+    direction ``u = offset / N``, ``N = max |offset|``, anchored by a 0.
+    Each block is constant at the center, so along ``center + r·u`` the
+    gap is ``1/2 + r·G/N``, each cluster radius is ``r·ρ_i/N`` and, while
+    the high block stays above the low one, ``n·spread`` is
+    ``1/2 + r·S/N``, with ``G``, ``ρ_i`` and ``S`` read off the integers.
+    Times ``2nN``, membership is a family of integer conditions
+    ``A + B·r > 0``, each true at ``r = 0``; times ``2N``, so is staying
+    inside the cube.  The radius is the first root ``A / -B`` with
+    ``B < 0``.
+    Every point before it lies in the region, the point at it does not.
+    All the conditions are homogeneous in ``offset``, so any positive
+    multiple of it gives the same radius.
     """
     n = len(offset) + 1
     norm = max(abs(c) for c in offset)
-    direction = tuple(c / norm for c in offset)
-    center = split_center(low_mask, high_mask, n)
-    u = anchored(direction)
+    u = offset + (0,)
     low = [u[i - 1] for i in mask_vertices(low_mask)]
     high = [u[j - 1] for j in mask_vertices(high_mask)]
-    spread_slope = (max(high) - min(low)) / n
-    conditions = [(_HALF - _HALF / n, min(high) - max(low) - spread_slope)]
+    slope = max(high) - min(low)
+    conditions = [((n - 1) * norm, 2 * (n * (min(high) - max(low)) - slope))]
     for block in (low_mask, high_mask):
         conditions.extend(
-            (_HALF / n, spread_slope - radius)
-            for radius in cluster_radii(u, block).values()
+            (norm, 2 * (slope - n * radius)) for radius in _radii(u, block).values()
         )
-    cube_exit = min(
-        (_ONE - bk) / uk if uk > 0 else (-_ONE - bk) / uk
-        for bk, uk in zip(center, direction)
-        if uk != 0
+    # the cube wall on the side ``c`` points to, from a center value h/2
+    conditions.extend(
+        ((2 - h if c > 0 else 2 + h) * norm, -2 * abs(c))
+        for c, h in zip(offset, _center_halves(low_mask, high_mask, n))
+        if c
     )
-    return min([cube_exit] + [-a / b for a, b in conditions if b < 0])
+    root, scale = 1, 0  # no root yet: 1/0
+    for a, b in conditions:
+        if b < 0 and a * scale < -b * root:
+            root, scale = a, -b
+    return Fraction(root, scale)
 
 
 def radial_gauge(low_mask, high_mask, y):
@@ -341,12 +421,15 @@ def radial_gauge(low_mask, high_mask, y):
     y = rational_point(y)
     if not in_split_region(y, low_mask, high_mask):
         raise ValueError("point is outside the split region")
-    center = split_center(low_mask, high_mask, len(y) + 1)
-    offset = tuple(yk - bk for yk, bk in zip(y, center))
+    halves = _center_halves(low_mask, high_mask, len(y) + 1)
+    nums, den = _scaled(y)
+    # y - center over the denominator 2·den
+    offset = tuple(2 * c - h * den for c, h in zip(nums, halves))
     if not any(offset):
-        return offset
+        return (_ZERO,) * len(y)
     radius = _gauge_radius(low_mask, high_mask, offset)
-    return tuple(u / radius for u in offset)
+    a, b = radius.numerator, radius.denominator
+    return tuple(Fraction(c * b, 2 * den * a) for c in offset)
 
 
 def radial_gauge_inverse(low_mask, high_mask, w):
@@ -358,12 +441,16 @@ def radial_gauge_inverse(low_mask, high_mask, w):
     w = rational_point(w)
     _require_open_cube(w)
     n = len(w) + 1
-    _validate_split(low_mask, high_mask, n)
-    center = split_center(low_mask, high_mask, n)
     if not any(w):
-        return center
-    radius = _gauge_radius(low_mask, high_mask, w)
-    return tuple(bk + ck * radius for bk, ck in zip(center, w))
+        return split_center(low_mask, high_mask, n)
+    halves = _center_halves(low_mask, high_mask, n)
+    nums, den = _scaled(w)
+    radius = _gauge_radius(low_mask, high_mask, nums)
+    a, b = radius.numerator, radius.denominator
+    # h/2 + (c/den)·(a/b) over the denominator 2·den·b
+    return tuple(
+        Fraction(h * den * b + 2 * c * a, 2 * den * b) for c, h in zip(nums, halves)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -373,13 +460,13 @@ def radial_gauge_inverse(low_mask, high_mask, w):
 def _interior_support(payload):
     mask = 0
     for k, c in enumerate(payload, start=1):
-        if -1 < c < 1:
+        if abs(c.numerator) < c.denominator:  # -1 < c < 1
             mask |= 1 << k
     return mask
 
 
 def _require_payload_range(payload):
-    if any(not -_ONE <= c <= _ONE for c in payload):
+    if any(abs(c.numerator) > c.denominator for c in payload):
         raise ValueError("payload coordinates must lie in [-1, 1]")
 
 
@@ -406,10 +493,14 @@ def in_smashed_complex(complex, payload):
     return complex.is_face(_interior_support(payload))
 
 
-def _blocked_obstruction(complex, anchor, payload):
-    """First level block on which the payload's support is not a face."""
+def _blocked_obstruction(complex, nums, payload):
+    """First level block on which the payload's support is not a face.
+
+    ``nums`` is the anchor's integer form; its level blocks are read by
+    :func:`_level_blocks`.
+    """
     support = _interior_support(payload)
-    for block in partition_from_point(anchor):
+    for block in _level_blocks(nums, range(1, len(nums) + 1)):
         if not complex.is_face(support & block):
             return block, support
     return None
@@ -430,9 +521,10 @@ def in_partitioned_smash(complex, anchor, payload):
     _validate_payload(complex, payload)
     if any(c == -1 for c in payload):
         return True
-    if min(anchor) == max(anchor):
+    nums, _ = _scaled(anchor)
+    if min(nums) == max(nums):
         return False
-    return _blocked_obstruction(complex, anchor, payload) is None
+    return _blocked_obstruction(complex, nums, payload) is None
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +543,7 @@ class _SuspendedPoint:
 
     def __init__(self, payload, ends_name):
         self.payload = rational_point(payload)
-        if any(abs(t) > 1 for t in self._ends()):
+        if any(abs(t.numerator) > t.denominator for t in self._ends()):
             raise ValueError(f"{ends_name} must lie in [-1, 1]")
         _require_payload_range(self.payload)
         self._collapsed = False
@@ -468,7 +560,7 @@ class _SuspendedPoint:
     def is_basepoint(self):
         return (
             self._collapsed
-            or any(abs(t) == 1 for t in self._ends())
+            or any(abs(t.numerator) == t.denominator for t in self._ends())
             or any(c == -1 for c in self.payload)
         )
 
@@ -537,7 +629,8 @@ class PartitionedSmashPoint(_SuspendedPoint):
 
 
 def _height_parameter(params):
-    return max((abs(t) for t in params), default=_ZERO)
+    nums, den = _scaled(params)
+    return Fraction(max(map(abs, nums), default=0), den)
 
 
 def _validate_suspension_input(complex, omega):
@@ -571,21 +664,24 @@ def _suspension_height(complex, omega):
 
 
 @lru_cache(maxsize=64)
-def _damping_factors(z):
-    """Per-coordinate damping weights for an anchor point.
+def _damping_factors(nums):
+    """Per-coordinate damping weights of an anchor, over its width.
 
-    Coordinate ``i`` keeps weight 1 when it clusters perfectly (radius 0)
-    and is crushed to 0 once its cluster radius reaches the spread.
-    Cached, since a homotopy report damps against the same anchor at
-    every time it evaluates and again in the pinched composite.
+    ``nums`` is the anchor's integer form and ``width = max - min`` is
+    ``n`` times its spread.  Returns ``(weights, width)``: coordinate
+    ``i`` has damping factor ``weights[i - 1] / width``, with weight
+    ``max(0, width - n·radius_i)``, so it keeps factor 1 when it
+    clusters perfectly (radius 0) and is crushed to 0 once its cluster
+    radius reaches the spread.  Cached, since a homotopy report damps
+    against the same anchor at every time it evaluates and again in the
+    pinched composite.
     """
-    spread = normalized_spread(z)
-    if spread == 0:
+    width = max(nums) - min(nums)
+    if width == 0:
         raise ValueError("damping undefined on a constant anchor")
-    radii = cluster_radii(z, full_mask(len(z)))
-    return tuple(
-        max(_ZERO, (spread - radii[i]) / spread) for i in range(1, len(z) + 1)
-    )
+    n = len(nums)
+    radii = _radii(nums, full_mask(n))
+    return tuple(max(0, width - n * radii[i]) for i in range(1, n + 1)), width
 
 
 def damped_coordinate(z, i, x_i):
@@ -598,9 +694,12 @@ def damped_coordinate(z, i, x_i):
     if not 1 <= i <= len(z):
         raise ValueError(f"coordinate index {i} out of range")
     x = as_fraction(x_i)
-    if not -_ONE <= x <= _ONE:
+    p, q = x.numerator, x.denominator
+    if abs(p) > q:
         raise ValueError("payload coordinate must lie in [-1, 1]")
-    return (_ONE + x) * _damping_factors(z)[i - 1] - _ONE
+    weights, width = _damping_factors(_scaled(z)[0])
+    # (1 + x)·weight/width - 1 over the denominator q·width
+    return Fraction((p + q) * weights[i - 1] - q * width, q * width)
 
 
 # ----------------------------------------------------------------------
@@ -615,14 +714,21 @@ def _damped_point(complex, beta, z, payload, leaves, t=_ONE):
     :class:`MembershipViolation`, its message led by ``leaves``, when the
     moved payload leaves the blocked smash.
     """
+    nums, _ = _scaled(z)
+    weights, width = _damping_factors(nums)
+    a, b = t.numerator, t.denominator
+    # x = p/q moves to (1 - t)·x + t·((1 + x)·weight/width - 1), that is
+    # (b·p·width - a·(p + q)·(width - weight)) / (b·q·width)
     moved = tuple(
-        (_ONE - t) * x + t * ((_ONE + x) * f - _ONE)
-        for x, f in zip(payload, _damping_factors(z))
+        Fraction(b * x.numerator * width
+                 - a * (x.numerator + x.denominator) * (width - weight),
+                 b * x.denominator * width)
+        for x, weight in zip(payload, weights)
     )
     point = PartitionedSmashPoint(2 * beta - 1, z, moved)
     if point.is_basepoint:
         return point
-    obstruction = _blocked_obstruction(complex, z, moved)
+    obstruction = _blocked_obstruction(complex, nums, moved)
     if obstruction is None:
         return point
     block, seen = obstruction

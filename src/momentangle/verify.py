@@ -3,16 +3,21 @@
 The evaluators in :mod:`momentangle.clusters` are pointwise and exact, so
 their governing identities can be checked by sampling rational points and
 evaluating predicates — no numerics, no tolerance anywhere, not even
-in the radial gauge.  This module supplies the samplers, two aggregate
-report builders used by the command line, and a deterministic constructor
-for a tagging-map membership violation on complexes where some small
-vertex set fails to be a face.
+in the radial gauge.  Samples and reports are ``Fraction`` values; the
+cluster layer works on each point as integer numerators over one common
+denominator and hands ``Fraction`` statistics back.  This module supplies
+the samplers, two aggregate report builders used by the command line,
+and a deterministic constructor for a tagging-map membership violation
+on complexes where some small vertex set fails to be a face.
 
 A sample's region tags come from :func:`~momentangle.clusters.split_tags`,
 which tests only the cuts of the sorted point, and every cluster radius
 of a block from one sort (:func:`~momentangle.clusters.cluster_radii`).
 Both reports draw parameters from one seeded sampler; the retraction
-check reads membership, spread and radii from one region-statistics call.
+check reads membership, spread and radii from one region-statistics call
+per point, and contracts with the unchecked step that
+:func:`~momentangle.clusters.contract_toward_center` wraps, so the
+sampled point's membership is tested once.
 """
 
 import random
@@ -21,7 +26,7 @@ from fractions import Fraction
 from .clusters import (
     MembershipViolation,
     SuspensionPoint,
-    contract_toward_center,
+    _contraction_step,
     enumerate_balanced_splits,
     factor_tagging_map,
     in_cluster_region,
@@ -85,11 +90,11 @@ def _report_params(rng, n, samples):
     Even draws are uniform; odd draws (if ``n`` has splits) perturb a
     random split center by ``1/(4n)``, as the regions shrink with ``n``.
     """
-    centers = [split_center(low, high, n) for low, high in enumerate_balanced_splits(n)]
+    splits = enumerate_balanced_splits(n)
     spread = Fraction(1, 4 * n)
     return (
-        sample_near(rng, centers[rng.randrange(len(centers))], spread)
-        if centers and k % 2
+        sample_near(rng, split_center(*splits[rng.randrange(len(splits))], n), spread)
+        if splits and k % 2
         else sample_open_cube(rng, n - 1)
         for k in range(samples)
     )
@@ -146,18 +151,23 @@ def split_region_report(n, samples, seed):
 
 
 def _retraction_holds(y, low, high, n, times):
-    """Contraction closure plus the exact spread/radius scaling laws."""
+    """Contraction closure plus the exact spread/radius scaling laws.
+
+    ``y`` is tested once, by its own statistics; each contracted point is
+    then tested by the statistics it is compared with.
+    """
     spread, *radii = split_region_statistics(y, low, high)
     for t in times:
-        stats = split_region_statistics(contract_toward_center(y, low, high, t),
+        stats = split_region_statistics(_contraction_step(y, low, high, t),
                                         low, high)
         if stats is None:
             return False
         spread_t, *radii_t = stats
-        if spread_t != (1 - t) * spread + t * Fraction(1, 2 * n):
+        keep = 1 - t
+        if spread_t != keep * spread + t * Fraction(1, 2 * n):
             return False
         for before, after in zip(radii, radii_t):
-            if after != {v: (1 - t) * radius for v, radius in before.items()}:
+            if after != {v: keep * radius for v, radius in before.items()}:
                 return False
     return True
 

@@ -13,6 +13,7 @@ from momentangle import (
     in_split_region,
     mask_vertices,
     new_complex,
+    split_center,
     vertex_mask,
 )
 
@@ -111,3 +112,70 @@ def per_vertex_cluster_radius(z, subset_mask, i):
     if m == 0 or len(gaps) < m:
         return Fraction(0)
     return gaps[m - 1]
+
+
+# ----------------------------------------------------------------------
+# Fraction oracles for the integer cluster geometry
+
+
+def per_vertex_radii(z, subset_mask):
+    return {i: per_vertex_cluster_radius(z, subset_mask, i)
+            for i in mask_vertices(subset_mask)}
+
+
+def fraction_split_region_statistics(y, low_mask, high_mask):
+    """``split_region_statistics`` in Fraction arithmetic, radii per vertex."""
+    z = tuple(y) + (Fraction(0),)
+    n = len(z)
+    spread = (max(z) - min(z)) / n
+    gap = (min(z[j - 1] for j in mask_vertices(high_mask))
+           - max(z[i - 1] for i in mask_vertices(low_mask)))
+    if gap <= spread:
+        return None
+    radii = [per_vertex_radii(z, block) for block in (low_mask, high_mask)]
+    if any(r >= spread for block in radii for r in block.values()):
+        return None
+    return spread, radii[0], radii[1]
+
+
+def fraction_damping_factors(z):
+    """Damping factor ``(spread - radius) / spread``, floored at 0, per coordinate."""
+    spread = (max(z) - min(z)) / len(z)
+    if spread == 0:
+        raise ValueError("damping undefined on a constant anchor")
+    radii = per_vertex_radii(z, (1 << (len(z) + 1)) - 2)
+    return tuple(max(Fraction(0), (spread - radii[i]) / spread)
+                 for i in range(1, len(z) + 1))
+
+
+def fraction_level_blocks(values, vertices):
+    """Vertex masks of equal Fraction value, lowest value first."""
+    blocks = {}
+    for v, t in zip(vertices, values):
+        blocks[t] = blocks.get(t, 0) | (1 << v)
+    return tuple(mask for _, mask in sorted(blocks.items()))
+
+
+def fraction_gauge_radius(low_mask, high_mask, offset):
+    """The gauge's exit radius along ``offset``, in Fraction arithmetic.
+
+    Along ``center + r·u`` (``u`` the max-norm unit direction, anchored
+    by a 0) membership is a family of conditions ``A + B·r > 0``; the
+    radius is the least root ``-A / B`` with ``B < 0``, or the cube exit.
+    """
+    half = Fraction(1, 2)
+    n = len(offset) + 1
+    norm = max(abs(c) for c in offset)
+    direction = tuple(c / norm for c in offset)
+    center = split_center(low_mask, high_mask, n)
+    u = direction + (Fraction(0),)
+    low = [u[i - 1] for i in mask_vertices(low_mask)]
+    high = [u[j - 1] for j in mask_vertices(high_mask)]
+    spread_slope = (max(high) - min(low)) / n
+    conditions = [(half - half / n, min(high) - max(low) - spread_slope)]
+    for block in (low_mask, high_mask):
+        conditions.extend((half / n, spread_slope - radius)
+                          for radius in per_vertex_radii(u, block).values())
+    cube_exit = min((1 - bk) / uk if uk > 0 else (-1 - bk) / uk
+                    for bk, uk in zip(center, direction) if uk != 0)
+    return min([cube_exit] + [-a / b for a, b in conditions if b < 0])
