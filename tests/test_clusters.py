@@ -190,23 +190,28 @@ def test_split_tags_cuts_on_a_third():
 
 def test_split_tags_confirms_only_strict_cuts(monkeypatch):
     seen = []
-    confirm = clusters.in_split_region
+    confirm = clusters._region_radii
 
-    def spy(y, low, high):
-        seen.append((anchored(y), low, high))
-        return confirm(y, low, high)
+    def spy(nums, low, high):
+        seen.append((nums, low, high))
+        return confirm(nums, low, high)
 
-    monkeypatch.setattr(clusters, "in_split_region", spy)
+    monkeypatch.setattr(clusters, "_region_radii", spy)
     rng = seeded(808)
+    confirmed = 0
     for n in range(2, 10):
         for _ in range(20):
             y = tuple(F(rng.randint(-2, 2), 4) for _ in range(n - 1))
             seen.clear()
             split_tags(y)
             assert len(seen) <= n - 1
-            for z, low, high in seen:
-                assert max(z[i - 1] for i in mask_vertices(low)) < \
-                    min(z[j - 1] for j in mask_vertices(high))
+            for nums, low, high in seen:
+                assert len(nums) == n
+                assert max(nums[i - 1] for i in mask_vertices(low)) < \
+                    min(nums[j - 1] for j in mask_vertices(high))
+            confirmed += len(seen)
+    # the spy sits on the routine that does the work
+    assert confirmed > 100
 
 
 def test_cluster_radii_match_per_vertex_rule():
