@@ -372,12 +372,8 @@ def single_non_face(n, size):
 
 def shifted_join(left, right):
     """Join after relabeling ``right`` above ``left``'s ambient set."""
-    shift = left.n
-    lifted = SimplicialComplex(left.n + right.n,
-                               (f << shift for f in right.facets))
-    return SimplicialComplex(
-        left.n + right.n,
-        (f | g for f in left.facets for g in lifted.facets))
+    return left.join(SimplicialComplex(left.n + right.n,
+                                       (f << left.n for f in right.facets)))
 
 
 def flag_from_graph(n, edges):
@@ -428,8 +424,11 @@ def random_complex(n, k_neighbourly_floor, density, seed):
         raise ValueError("random_complex supports 1 <= n <= 16")
     if not 0 <= k_neighbourly_floor <= n:
         raise ValueError("neighbourliness floor out of range")
-    if density < 0:
-        raise ValueError("density must be nonnegative")
+    if not 0 <= density < math.inf:
+        raise ValueError(f"density must be finite and nonnegative, got {density}")
+    if density * n > 1 << n:
+        raise ValueError(f"density {density} draws more facets than the "
+                         f"2^{n} subsets of {n} vertices")
     rng = _random.Random(seed)
     faces = [vertex_mask(c) for c in itertools.combinations(
         range(1, n + 1), k_neighbourly_floor)]

@@ -47,6 +47,7 @@ from momentangle.homology import (
     CochainCalculator,
     GradedMap,
     connectivity_certificate,
+    hurewicz_applies,
 )
 from momentangle.hochster import wedge_model
 
@@ -367,11 +368,14 @@ def _certificate(engine, subset_i, subset_j, battery=DEFAULT_BATTERY):
     union = subset_i | subset_j
     if engine.restriction(union).is_cone:
         return NullCertificate("Null", reason="SourceContractible")
-    conn_i, flag_i = engine.connectivity(subset_i)
-    conn_j, flag_j = engine.connectivity(subset_j)
-    if (flag_i == "topological" and flag_j == "topological"
-            and engine.restriction(union).dim <= conn_i + conn_j + 2):
-        return NullCertificate("Null", reason="DimBelowConnectivity")
+    # neither side is a cone, so its connectivity is topological exactly
+    # when the Hurewicz flag holds; without it no connectivity is computed
+    if (hurewicz_applies(engine.restriction(subset_i))
+            and hurewicz_applies(engine.restriction(subset_j))):
+        conn_i, _ = engine.connectivity(subset_i)
+        conn_j, _ = engine.connectivity(subset_j)
+        if engine.restriction(union).dim <= conn_i + conn_j + 2:
+            return NullCertificate("Null", reason="DimBelowConnectivity")
     for k, coeffs in enumerate(battery):
         # Every earlier map was zero.  If Z was among them, the universal
         # coefficient theorem (f*_Q = f*_Z ⊗ Q) makes the Q map zero too.

@@ -111,7 +111,6 @@ class ChainComplex:
         self._faces = {d: sorted(masks) for d, masks in by_degree.items()}
         self._index = {d: {f: i for i, f in enumerate(masks)}
                        for d, masks in self._faces.items()}
-        self._boundaries = {}
 
     def faces(self, d):
         return self._faces.get(d, [])
@@ -121,17 +120,18 @@ class ChainComplex:
 
     def boundary_matrix(self, d):
         """The map C_d -> C_{d-1} as an integer matrix."""
-        if d in self._boundaries:
-            return self._boundaries[d]
         sources = self.faces(d)
         target_index = self.face_index(d - 1)
-        entries = {}
+        matrix = IntMatrix(len(self.faces(d - 1)), len(sources))
+        rows, cols = matrix.rows, matrix.cols
         for j, f in enumerate(sources):
+            occupied = set()
             for i, v in enumerate(mask_vertices(f)):
-                sub = f ^ (1 << v)
-                entries[target_index[sub], j] = -1 if i % 2 else 1
-        matrix = IntMatrix(len(self.faces(d - 1)), len(sources), entries)
-        self._boundaries[d] = matrix
+                t = target_index[f ^ (1 << v)]
+                rows.setdefault(t, {})[j] = -1 if i % 2 else 1
+                occupied.add(t)
+            if occupied:
+                cols[j] = occupied
         return matrix
 
     def differential_squares_to_zero(self):
@@ -281,12 +281,12 @@ class CochainCalculator:
         # so those of every coboundary image are rows r.. of V^-1 δ_{d-1}
         prev = self.coboundary_matrix(d - 1)
         images = out.V_inv @ prev
-        assert all(row >= r for row, _ in images.entries), \
+        assert all(row >= r for row in images.rows), \
             "coboundary image escaped the cocycle space"
-        relations = IntMatrix(kernel_dim, prev.num_cols,
-                              {(row - r, col): v
-                               for (row, col), v in images.entries.items()
-                               if row >= r})
+        relations = IntMatrix(kernel_dim, prev.num_cols)
+        relations.rows = {row - r: vals for row, vals in images.rows.items()}
+        relations.cols = {col: {row - r for row in occ}
+                          for col, occ in images.cols.items()}
         rel = smith_normal_form(relations, keep_transforms=True)
         orders = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
         self._forms[d] = out, rel, orders
@@ -439,21 +439,27 @@ class InducedMap(GradedMap):
         return rows
 
 
+def hurewicz_applies(complex):
+    """True when the complex contains the full 2-skeleton on its support.
+
+    That forces simple connectivity, so the Hurewicz theorem promotes
+    vanishing homology to vanishing homotopy.
+    """
+    return complex.support_neighbourliness >= 3
+
+
 def connectivity_certificate(complex):
     """Largest c with H̃_i(ZZ) = 0 for all i <= c, plus a provenance flag.
 
     Cones are contractible, giving (inf, "topological") outright.
     Otherwise integral homology is scanned upward from the bottom of
     ``homology_degree_window``, below which it provably vanishes.  The
-    flag is "topological" when the complex contains the full 2-skeleton
-    on its support: that forces simple connectivity, so the Hurewicz
-    theorem promotes vanishing homology to vanishing homotopy.  With
-    fewer than all triangles present the bound is "homology-only".
+    flag is "topological" when ``hurewicz_applies``, and "homology-only"
+    with fewer than all triangles present.
     """
     if complex.is_cone:
         return math.inf, "topological"
-    flag = ("topological" if complex.support_neighbourliness >= 3
-            else "homology-only")
+    flag = "topological" if hurewicz_applies(complex) else "homology-only"
     lo, hi = homology_degree_window(complex)
     groups = reduced_homology(complex, "Z", (lo, hi))
     for d in range(lo, hi + 1):

@@ -1,7 +1,10 @@
 """Exact linear algebra over the integers, the rationals, and prime fields.
 
-The workhorse is a sparse Smith normal form over ZZ with optional
-unimodular transforms (U * A * V = D together with both inverses), which
+One sparse matrix type, ``IntMatrix``, holds every integer matrix: a
+dict of nonzero rows plus the set of rows occupying each column.  The
+workhorse is a Smith normal form over ZZ that eliminates a copy of its
+input in place, with optional unimodular transforms (U * A * V = D
+together with both inverses) built as matrices of the same type.  It
 yields ranks, torsion, kernel bases, and canonical coordinates all at
 once; cohomology over every coefficient ring is read off those forms.
 Small dense helpers over Fraction / GF(p) serve the Koszul oracle and
@@ -30,127 +33,117 @@ def extended_gcd(a, b):
 
 
 class IntMatrix:
-    """Sparse integer matrix with an explicit shape."""
+    """Sparse integer matrix with an explicit shape.
+
+    ``rows`` maps a row index to {column: value} and ``cols`` maps a
+    column index to the set of rows holding an entry in it.  Only nonzero
+    entries are stored, and no row dict or column set is ever empty.  The
+    elementary operations below rewrite the matrix in place, keeping both
+    views in step; the Smith form runs them on a ``copy()``.
+    """
+
+    __slots__ = ("num_rows", "num_cols", "rows", "cols")
 
     def __init__(self, num_rows, num_cols, entries=None):
         if num_rows < 0 or num_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.num_rows = num_rows
         self.num_cols = num_cols
-        self.entries = {}
+        self.rows = {}
+        self.cols = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (r, c), v in items:
                 if not (0 <= r < num_rows and 0 <= c < num_cols):
                     raise IndexError(f"entry ({r},{c}) outside shape "
                                      f"{num_rows}x{num_cols}")
-                if v:
-                    self.entries[r, c] = v
+                self._set(r, c, v)
 
     @classmethod
     def from_rows(cls, rows, num_cols=None):
-        num_rows = len(rows)
         if num_cols is None:
             num_cols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[r, c] = v
-        return cls(num_rows, num_cols, entries)
+        entries = (((r, c), v) for r, row in enumerate(rows) for c, v in enumerate(row))
+        return cls(len(rows), num_cols, entries)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        matrix = cls(n, n)
+        matrix.rows = {i: {i: 1} for i in range(n)}
+        matrix.cols = {i: {i} for i in range(n)}
+        return matrix
+
+    def copy(self):
+        matrix = IntMatrix(self.num_rows, self.num_cols)
+        matrix.rows = {r: dict(row) for r, row in self.rows.items()}
+        matrix.cols = {c: set(occ) for c, occ in self.cols.items()}
+        return matrix
 
     def to_rows(self):
         rows = [[0] * self.num_cols for _ in range(self.num_rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                rows[r][c] = v
         return rows
 
     def get(self, r, c):
-        return self.entries.get((r, c), 0)
+        return self.rows.get(r, {}).get(c, 0)
 
     def column(self, c):
         col = [0] * self.num_rows
-        for (r, c2), v in self.entries.items():
-            if c2 == c:
-                col[r] = v
+        for r in self.cols.get(c, ()):
+            col[r] = self.rows[r][c]
         return col
 
     @property
     def is_zero(self):
-        return not self.entries
+        return not self.rows
 
     def transpose(self):
-        return IntMatrix(self.num_cols, self.num_rows,
-                         {(c, r): v for (r, c), v in self.entries.items()})
+        matrix = IntMatrix(self.num_cols, self.num_rows)
+        rows = self.rows
+        matrix.rows = {c: {r: rows[r][c] for r in occ}
+                       for c, occ in self.cols.items()}
+        matrix.cols = {r: set(row) for r, row in rows.items()}
+        return matrix
 
     def __matmul__(self, other):
         if self.num_cols != other.num_rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc = out.get(key, 0) + v * w
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return IntMatrix(self.num_rows, other.num_cols, out)
+        product = IntMatrix(self.num_rows, other.num_cols)
+        for r, row in self.rows.items():
+            acc = {}
+            for k, v in row.items():
+                for c, w in other.rows.get(k, {}).items():
+                    acc[c] = acc.get(c, 0) + v * w
+            for c, v in acc.items():
+                product._set(r, c, v)
+        return product
 
     def apply(self, vector):
         """Matrix-vector product on a dense integer vector."""
         if len(vector) != self.num_cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.num_rows
-        for (r, c), v in self.entries.items():
-            if vector[c]:
-                out[r] += v * vector[c]
+        for r, row in self.rows.items():
+            out[r] = sum(v * vector[c] for c, v in row.items())
         return out
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix)
                 and self.num_rows == other.num_rows
                 and self.num_cols == other.num_cols
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __repr__(self):
-        return (f"IntMatrix({self.num_rows}x{self.num_cols}, "
-                f"{len(self.entries)} nonzero)")
+        nonzero = sum(len(row) for row in self.rows.values())
+        return f"IntMatrix({self.num_rows}x{self.num_cols}, {nonzero} nonzero)"
 
-
-class _Sparse:
-    """Mutable dict-of-rows matrix with column occupancy, for eliminations."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self):
-        self.rows = {}
-        self.cols = {}
-
-    @classmethod
-    def from_matrix(cls, matrix):
-        s = cls()
-        for (r, c), v in matrix.entries.items():
-            s.rows.setdefault(r, {})[c] = v
-            s.cols.setdefault(c, set()).add(r)
-        return s
-
-    @classmethod
-    def identity(cls, n):
-        s = cls()
-        for i in range(n):
-            s.rows[i] = {i: 1}
-            s.cols[i] = {i}
-        return s
+    # -- elementary operations, in place ---------------------------------
 
     def _set(self, r, c, v):
+        """Write entry (r, c); a zero removes it, and an emptied row or
+        column with it."""
         if v:
             self.rows.setdefault(r, {})[c] = v
             self.cols.setdefault(c, set()).add(r)
@@ -164,9 +157,6 @@ class _Sparse:
                 occ.discard(r)
                 if not occ:
                     del self.cols[c]
-
-    def get(self, r, c):
-        return self.rows.get(r, {}).get(c, 0)
 
     def row_axpy(self, target, source, k):
         """row_target += k * row_source."""
@@ -187,17 +177,12 @@ class _Sparse:
             self.cols[c].discard(i)
         for c in rj:
             self.cols[c].discard(j)
-        if rj:
-            self.rows[i] = rj
-            for c in rj:
-                self.cols[c].add(i)
-        if ri:
-            self.rows[j] = ri
-            for c in ri:
-                self.cols[c].add(j)
-        for c in set(ri) | set(rj):
-            if not self.cols.get(c):
-                self.cols.pop(c, None)
+        # every column emptied above is refilled here
+        for r, row in ((i, rj), (j, ri)):
+            if row:
+                self.rows[r] = row
+                for c in row:
+                    self.cols[c].add(r)
 
     def swap_cols(self, i, j):
         if i == j:
@@ -206,14 +191,11 @@ class _Sparse:
         occ_j = self.cols.pop(j, set())
         vals_i = {r: self.rows[r].pop(i) for r in occ_i}
         vals_j = {r: self.rows[r].pop(j) for r in occ_j}
-        for r, v in vals_j.items():
-            self.rows[r][i] = v
-        for r, v in vals_i.items():
-            self.rows[r][j] = v
-        if occ_j:
-            self.cols[i] = set(occ_j)
-        if occ_i:
-            self.cols[j] = set(occ_i)
+        for c, occ, vals in ((i, occ_j, vals_j), (j, occ_i, vals_i)):
+            if occ:
+                self.cols[c] = occ
+            for r, v in vals.items():
+                self.rows[r][c] = v
 
     def combine_rows(self, i, j, x, y, u, v):
         """(row_i, row_j) <- (x*row_i + y*row_j, u*row_i + v*row_j)."""
@@ -241,13 +223,6 @@ class _Sparse:
     def scale_col(self, i, s):
         for r in self.cols.get(i, ()):
             self.rows[r][i] *= s
-
-    def to_matrix(self, num_rows, num_cols):
-        entries = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                entries[r, c] = v
-        return IntMatrix(num_rows, num_cols, entries)
 
 
 class SmithForm:
@@ -302,23 +277,17 @@ def _choose_pivot(work, start):
 def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
-    Eliminates with Markowitz pivoting and gcd row/column combines, then
-    enforces the divisibility chain.  With ``keep_transforms`` the result
-    carries unimodular U, V and their inverses with U @ A @ V diagonal.
+    Eliminates a copy of the input in place with Markowitz pivoting and
+    gcd row/column combines, then enforces the divisibility chain.  With
+    ``keep_transforms`` the result carries unimodular U, V and their
+    inverses with U @ A @ V diagonal, each the matrix the elimination
+    updated step by step from the identity.
     """
     m, n = matrix.num_rows, matrix.num_cols
-    if not m or not n:
-        # nothing to eliminate: the empty diagonal, identity transforms
-        if keep_transforms:
-            return SmithForm(m, n, [],
-                             U=IntMatrix.identity(m), V=IntMatrix.identity(n),
-                             U_inv=IntMatrix.identity(m),
-                             V_inv=IntMatrix.identity(n))
-        return SmithForm(m, n, [])
-    work = _Sparse.from_matrix(matrix)
+    work = matrix.copy()
     if keep_transforms:
-        tu, tu_inv = _Sparse.identity(m), _Sparse.identity(m)
-        tv, tv_inv = _Sparse.identity(n), _Sparse.identity(n)
+        tu, tu_inv = IntMatrix.identity(m), IntMatrix.identity(m)
+        tv, tv_inv = IntMatrix.identity(n), IntMatrix.identity(n)
     else:
         tu = tu_inv = tv = tv_inv = None
 
@@ -419,10 +388,7 @@ def smith_normal_form(matrix, keep_transforms=False):
 
     diagonal = [work.get(i, i) for i in range(k)]
     if keep_transforms:
-        return SmithForm(m, n, diagonal,
-                         U=tu.to_matrix(m, m), V=tv.to_matrix(n, n),
-                         U_inv=tu_inv.to_matrix(m, m),
-                         V_inv=tv_inv.to_matrix(n, n))
+        return SmithForm(m, n, diagonal, U=tu, V=tv, U_inv=tu_inv, V_inv=tv_inv)
     return SmithForm(m, n, diagonal)
 
 
@@ -430,11 +396,15 @@ def rank_mod_p(matrix, p):
     """Rank over GF(p), by sparse elimination with Markowitz pivoting."""
     rows = {}
     cols = {}
-    for (r, c), v in matrix.entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for r, row in matrix.rows.items():
+        reduced = {}
+        for c, v in row.items():
+            v %= p
+            if v:
+                reduced[c] = v
+                cols.setdefault(c, set()).add(r)
+        if reduced:
+            rows[r] = reduced
     rank = 0
     while rows:
         best_key = None

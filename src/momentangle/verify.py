@@ -110,6 +110,8 @@ def split_region_report(n, samples, seed):
     point missed by every region.  Every tagged point makes a gauge round
     trip, which must reproduce it exactly.
     """
+    if n < 2:
+        raise ValueError(f"split regions need n >= 2 coordinates, got n = {n}")
     if samples < 1:
         raise ValueError("need at least one sample")
     report = {

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,21 @@ def test_generate_families(capsys, tmp_path):
     assert first == second
 
 
+def test_generate_random_refuses_unbounded_densities(capsys):
+    # 1e300 once drew round(density * n) facets one at a time, and inf
+    # escaped as an OverflowError; both are refused before any draw
+    for density in ("1e300", "inf", "nan", "-1", "342"):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "generate", "random", "--n", "12",
+                                 "--density", density)
+        assert code == 1 and out == ""
+        assert err.startswith("error: density") and "Traceback" not in err
+        assert time.process_time() - start < 1
+    # 341 * 12 draws stay within the 2^12 subsets
+    doc = run_json(capsys, "generate", "random", "--n", "12", "--density", "341")
+    assert doc["n"] == 12
+
+
 def test_generate_join_multiplies_series(capsys, tmp_path):
     left = str(tmp_path / "left.json")
     right = str(tmp_path / "right.json")
@@ -246,6 +262,14 @@ def test_cluster_verify_regions(capsys):
     assert report["config"]["n"] == 2
     assert report["regions"]["splits"] == 2
     assert report["regions_pass"] is True
+
+
+def test_cluster_verify_refuses_fewer_than_two_coordinates(capsys):
+    for n in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "cluster", "verify", "--n", n,
+                                 "--samples", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"got n = {n}" in err
 
 
 def test_cluster_verify_complex(capsys, tmp_path):

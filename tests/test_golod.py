@@ -34,6 +34,7 @@ from momentangle import (
     splitting_verdict,
     vertex_mask,
 )
+from momentangle import golod
 from momentangle.homology import parse_coefficients
 from momentangle.golod import (
     DEFAULT_BATTERY,
@@ -394,15 +395,17 @@ def test_no_join_is_ever_built(monkeypatch):
     def no_join(self, other):
         raise AssertionError("a join was built")
 
+    # the inputs are built first: shifted_join is itself a join
+    rp2 = fixture_complex("rp2.json")
+    torsion_inputs = (_disjoint_rp2s(), shifted_join(rp2, rp2))
     monkeypatch.setattr(SimplicialComplex, "join", no_join)
     for K in (cycle_complex(4), cycle_complex(5), full_skeleton(6, 1),
               random_complex(7, 0, 0.6, 3), _rp2_on(8, (1, 2, 4, 5, 7, 8))):
         cup_products_vanish(K)
         splitting_verdict(K)
     # both sides carry 2-torsion, so the Z maps have Tor columns
-    rp2 = fixture_complex("rp2.json")
     i, j = full_mask(6), full_mask(12) ^ full_mask(6)
-    for K in (_disjoint_rp2s(), shifted_join(rp2, rp2)):
+    for K in torsion_inputs:
         iota_pair(K, i, j)
         null_certificate(K, i, j)
 
@@ -553,3 +556,24 @@ def test_tor_columns_match_the_join():
         nonzero.append(got.nonzero_degrees())
     # the partial subcomplex has no top class, but keeps the Tor class
     assert nonzero == [[4, 5], [], [4, 5], [4], [5, 6]]
+
+
+def test_verdicts_without_the_hurewicz_flag_compute_no_connectivity(monkeypatch):
+    # connectivity only feeds DimBelowConnectivity, which needs the full
+    # 2-skeleton on both sides: a cycle or a 1-skeleton never has it
+    calls = []
+    certificate = golod.connectivity_certificate
+
+    def recording(complex):
+        calls.append(complex)
+        return certificate(complex)
+
+    monkeypatch.setattr(golod, "connectivity_certificate", recording)
+    for K in (cycle_complex(5), cycle_complex(6), full_skeleton(6, 1)):
+        splitting_verdict(K)
+        pair_certificates(K)
+    assert calls == []
+    # the 2-skeleton pair still reads both sides' connectivity
+    cert = null_certificate(full_skeleton(8, 2), vertex_mask([1, 2, 3, 4]),
+                            vertex_mask([5, 6, 7, 8]))
+    assert cert.reason == "DimBelowConnectivity" and len(calls) == 2
