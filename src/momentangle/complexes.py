@@ -63,6 +63,21 @@ def lowest_vertex(mask):
     return (mask & -mask).bit_length() - 1
 
 
+def neighbourliness_from_counts(counts):
+    """Support neighbourliness of a complex from its face counts.
+
+    ``counts[k]`` is the number of faces with k vertices, so ``counts[1]``
+    is the size s of the support.  Every face lies on the support, so
+    every k-subset of it is a face exactly when ``counts[k]`` is C(s, k);
+    this is the largest k for which that holds at 1, .., k.
+    """
+    s = counts[1] if len(counts) > 1 else 0
+    k = 0
+    while k + 1 < len(counts) and counts[k + 1] == math.comb(s, k + 1):
+        k += 1
+    return k
+
+
 class SimplicialComplex:
     """A simplicial complex on ambient vertex set {1, .., n}.
 
@@ -269,21 +284,15 @@ class SimplicialComplex:
         This is the combinatorial input to topological statements about
         the realization, which ghost vertices cannot affect.
 
-        Every face lies on the s-vertex support, so every k-subset of it
-        is a face exactly when ``f_vector[k]`` is C(s, k).  A missing edge
-        shows in ``closed_neighbourhoods`` first, which spares the face
-        set of a complex that is not 2-neighbourly.
+        Read off the face counts (``neighbourliness_from_counts``).  A
+        missing edge shows in ``closed_neighbourhoods`` first, which
+        spares the face set of a complex that is not 2-neighbourly.
         """
         support = self.support
-        s = support.bit_count()
-        if s >= 2 and any(closed != support
-                          for closed in self.closed_neighbourhoods if closed):
+        if support.bit_count() >= 2 and any(
+                closed != support for closed in self.closed_neighbourhoods if closed):
             return 1
-        counts = self.f_vector
-        k = 0
-        while k + 1 < len(counts) and counts[k + 1] == math.comb(s, k + 1):
-            k += 1
-        return k
+        return neighbourliness_from_counts(self.f_vector)
 
     @property
     def is_third_neighbourly(self):

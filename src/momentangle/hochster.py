@@ -16,7 +16,8 @@ Most subsets cost no homology at all.  When I holds a ghost vertex, or a
 vertex dominated in the flag complex K_I (its link is a cone), deleting
 that vertex keeps the homotopy type, so I takes the groups of the smaller
 subset, which the scan in increasing mask order has already computed.
-Only the strong-collapse cores build a restriction.
+Only the strong-collapse cores compute groups, and they read K_I straight
+off K's facets cut down to I: no restricted complex is built.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from momentangle.complexes import mask_vertices, vertex_mask
-from momentangle.homology import (
-    homology_degree_window,
-    parse_coefficients,
-    reduced_cohomology,
+from momentangle.complexes import (
+    iter_submasks,
+    mask_vertices,
+    neighbourliness_from_counts,
+    vertex_mask,
 )
+from momentangle.homology import _reduced_groups, face_levels, parse_coefficients
 # Unused here, but the benchmark's tracer wraps these two module attributes.
 from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
@@ -143,9 +145,9 @@ def hochster_decomposition(complex, coeffs="Z"):
     scanned in increasing mask order, keeping each one's unshifted groups.
     A subset with a removable vertex v (see :func:`_removable_vertex`)
     has K_I ≃ K_{I∖v}, so it takes the groups already kept for the
-    smaller mask.  Only the other subsets build their restriction: cones
-    are skipped outright, and the rest compute cohomology in their
-    ``homology_degree_window``.
+    smaller mask.  The other subsets, the cores, cut K's facets down to I:
+    when I itself is one of them K_I is a simplex and has no groups, and
+    otherwise :func:`_core_groups` computes them from those facets.
     """
     parse_coefficients(coeffs)
     n = complex.n
@@ -156,7 +158,7 @@ def hochster_decomposition(complex, coeffs="Z"):
     if complex.is_flag:
         neighbourhoods = {1 << v: closed for v, closed
                           in enumerate(complex.closed_neighbourhoods)}
-    support = complex.support
+    support, facets = complex.support, complex.facets
     # (d, H̃^d(K_I)) for the nonzero groups, ascending in d, by mask >> 1
     groups_of = [()] * (1 << n)
     summands = []
@@ -166,17 +168,52 @@ def hochster_decomposition(complex, coeffs="Z"):
         if removable:
             groups = groups_of[(mask ^ removable) >> 1]
         else:
-            sub = complex.restriction(mask)
-            if sub.is_cone:
-                continue
-            full = reduced_cohomology(sub, coeffs, homology_degree_window(sub))
-            groups = tuple((d, g) for d, g in full.items() if not g.is_zero)
+            restricted = {f & mask for f in facets}
+            if mask and mask in restricted:
+                continue    # K_I is the simplex on I
+            groups = _core_groups(restricted, coeffs)
         if groups:
             groups_of[bits] = groups
             shift = mask.bit_count() + 1
             summands.append(HochsterSummand(
                 mask, [(d + shift, g) for d, g in groups]))
     return summands
+
+
+def _core_groups(restricted, coeffs):
+    """The nonzero groups (d, H̃^d(K_I)) of a core, ascending in d.
+
+    ``restricted`` is the set of K's facets cut down to I; the faces of
+    K_I are their submasks.  A cone is contractible and has no groups
+    (``_restricted_faces`` finds its apex); otherwise the groups are
+    computed in the window of ``homology_degree_window``, read off the
+    face counts.
+    """
+    faces, apex = _restricted_faces(restricted)
+    if apex:
+        return ()
+    levels = face_levels(faces)
+    m = neighbourliness_from_counts([len(level) for level in levels])
+    groups = _reduced_groups(levels, coeffs, (m - 1, len(levels) - 2),
+                             cohomology=True)
+    return tuple((d, g) for d, g in groups.items() if not g.is_zero)
+
+
+def _restricted_faces(restricted):
+    """The faces of the complex whose facets lie among ``restricted``, and
+    the vertices its facets share.
+
+    The masks are taken largest first and one already seen is skipped: it
+    lies in a larger one.  So the masks met unseen are exactly the facets,
+    with no antichain pruning, and a nonzero intersection of them is the
+    apex set of a cone.
+    """
+    faces, apex = set(), -1
+    for f in sorted(restricted, key=int.bit_count, reverse=True):
+        if f not in faces:
+            apex &= f
+            faces.update(iter_submasks(f))
+    return faces, apex
 
 
 def _removable_vertex(mask, support, neighbourhoods):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import math
 
-from momentangle.complexes import mask_vertices
+from momentangle.complexes import mask_vertices, neighbourliness_from_counts
 from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
 # Unused here (every coefficient system is read off the integral Smith
 # forms), but the benchmark's tracer wraps these module attributes by name.
@@ -84,6 +84,36 @@ class HomologyGroup:
         return f"HomologyGroup({', '.join(parts)})"
 
 
+def face_levels(faces):
+    """Faces by vertex count: entry k lists the faces with k vertices, in
+    increasing mask order, up to the largest face."""
+    levels = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    for f in sorted(faces):
+        levels[f.bit_count()].append(f)
+    return levels
+
+
+def _boundary_matrix(sources, target_index):
+    """∂ from the faces ``sources`` (columns, in order) to the faces one
+    vertex smaller (rows, by ``target_index``), with alternating signs
+    along ascending vertex order."""
+    matrix = IntMatrix(len(target_index), len(sources))
+    rows, cols = matrix.rows, matrix.cols
+    for j, f in enumerate(sources):
+        occupied = set()
+        sign, rest = 1, f
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t = target_index[f ^ bit]
+            rows.setdefault(t, {})[j] = sign
+            occupied.add(t)
+            sign = -sign
+        if occupied:
+            cols[j] = occupied
+    return matrix
+
+
 class ChainComplex:
     """Simplicial chain complex of a complex, empty face included.
 
@@ -91,24 +121,14 @@ class ChainComplex:
     ``boundary_matrix(d)`` maps degree d to degree d-1 with alternating
     signs along ascending vertex order; the boundary of a vertex is the
     empty face, which makes homology reduced.
-
-    A ``degree_range`` (lo, hi) restricts face collection to what the
-    boundaries for homology in degrees lo..hi need.
     """
 
-    def __init__(self, complex, degree_range=None):
-        lo, hi = degree_range if degree_range else (-1, complex.dim)
-        if lo < -1:
-            lo = -1
+    def __init__(self, complex):
         self.complex = complex
-        self.lo = lo
-        self.hi = hi
-        by_degree = {d: [] for d in range(lo - 1, hi + 2)}
-        for f in complex.faces:
-            d = f.bit_count() - 1
-            if lo - 1 <= d <= hi + 1:
-                by_degree[d].append(f)
-        self._faces = {d: sorted(masks) for d, masks in by_degree.items()}
+        self.lo = -1
+        self.hi = complex.dim
+        levels = face_levels(complex.faces)
+        self._faces = {k - 1: level for k, level in enumerate(levels)}
         self._index = {d: {f: i for i, f in enumerate(masks)}
                        for d, masks in self._faces.items()}
 
@@ -120,27 +140,23 @@ class ChainComplex:
 
     def boundary_matrix(self, d):
         """The map C_d -> C_{d-1} as an integer matrix."""
-        sources = self.faces(d)
-        target_index = self.face_index(d - 1)
-        matrix = IntMatrix(len(self.faces(d - 1)), len(sources))
-        rows, cols = matrix.rows, matrix.cols
-        for j, f in enumerate(sources):
-            occupied = set()
-            for i, v in enumerate(mask_vertices(f)):
-                t = target_index[f ^ (1 << v)]
-                rows.setdefault(t, {})[j] = -1 if i % 2 else 1
-                occupied.add(t)
-            if occupied:
-                cols[j] = occupied
-        return matrix
+        return _boundary_matrix(self.faces(d), self.face_index(d - 1))
 
     def differential_squares_to_zero(self):
         return all((self.boundary_matrix(d) @ self.boundary_matrix(d + 1)).is_zero
                    for d in range(self.lo, self.hi + 1))
 
 
-def _reduced_groups(complex, coeffs, degree_range, cohomology):
-    """Groups in degrees lo..hi from the ranks of ∂_lo .. ∂_{hi+1}.
+def _reduced_groups(levels, coeffs, degree_range, cohomology):
+    """Groups in degrees lo..hi (default -1..dim) of the complex whose
+    faces are ``levels`` (see ``face_levels``), from the ranks of
+    ∂_lo .. ∂_{hi+1}.
+
+    This is the one routine from faces to groups: ``reduced_homology``
+    and ``reduced_cohomology`` pass a complex's faces, and the Hochster
+    scan the faces it enumerates for each subset.  A boundary matrix is
+    built only when ∂_d has both source and target faces; otherwise its
+    rank is 0.
 
     Integral torsion of H̃_d is that of coker ∂_{d+1}; the coboundary out
     of degree d is the transpose of ∂_{d+1}, so torsion of H̃^d is that of
@@ -151,20 +167,31 @@ def _reduced_groups(complex, coeffs, degree_range, cohomology):
     range starts there the bottom boundary matrix is the full simplex
     boundary, whose rank is C(s-1, m-1) over every coefficient ring with
     free cokernel.  That known rank replaces the one large matrix in the
-    otherwise-sparse window of ``homology_degree_window``.
+    otherwise-sparse window of ``homology_degree_window``; m is read off
+    the face counts (``neighbourliness_from_counts``).
     """
     kind, p = parse_coefficients(coeffs)
-    lo, hi = degree_range if degree_range else (-1, complex.dim)
+    lo, hi = degree_range if degree_range else (-1, len(levels) - 2)
     lo = max(lo, -1)
-    chain = ChainComplex(complex, (lo, hi))
+
+    def faces(d):
+        return levels[d + 1] if 0 <= d + 1 < len(levels) else ()
+
     ranks, torsion = {}, {}
-    if lo >= 0 and lo == complex.support_neighbourliness - 1:
-        ranks[lo] = math.comb(complex.support.bit_count() - 1, lo)
-        torsion[lo] = ()
+    if lo >= 0:
+        counts = [len(level) for level in levels]
+        if lo == neighbourliness_from_counts(counts) - 1:
+            ranks[lo] = math.comb(counts[1] - 1, lo)
+            torsion[lo] = ()
     for d in range(lo, hi + 2):
         if d in ranks:
             continue
-        matrix = chain.boundary_matrix(d)
+        sources, targets = faces(d), faces(d - 1)
+        if not (sources and targets):
+            ranks[d], torsion[d] = 0, ()
+            continue
+        matrix = _boundary_matrix(sources,
+                                  {f: i for i, f in enumerate(targets)})
         if kind == "F":
             ranks[d], torsion[d] = rank_mod_p(matrix, p), ()
         else:
@@ -172,7 +199,7 @@ def _reduced_groups(complex, coeffs, degree_range, cohomology):
             ranks[d] = form.rank
             torsion[d] = form.torsion if kind == "Z" else ()
     source = 0 if cohomology else 1
-    return {d: HomologyGroup(len(chain.faces(d)) - ranks[d] - ranks[d + 1],
+    return {d: HomologyGroup(len(faces(d)) - ranks[d] - ranks[d + 1],
                              torsion[d + source])
             for d in range(lo, hi + 1)}
 
@@ -184,12 +211,14 @@ def reduced_homology(complex, coeffs="Z", degree_range=None):
     -1..dim).  Field coefficients yield torsion-free groups whose rank
     is the vector-space dimension.
     """
-    return _reduced_groups(complex, coeffs, degree_range, cohomology=False)
+    return _reduced_groups(face_levels(complex.faces), coeffs, degree_range,
+                           cohomology=False)
 
 
 def reduced_cohomology(complex, coeffs="Z", degree_range=None):
     """Reduced cohomology groups by degree, computed from coboundaries."""
-    return _reduced_groups(complex, coeffs, degree_range, cohomology=True)
+    return _reduced_groups(face_levels(complex.faces), coeffs, degree_range,
+                           cohomology=True)
 
 
 def homology_degree_window(complex):
@@ -289,6 +318,8 @@ class CochainCalculator:
                           for col, occ in images.cols.items()}
         rel = smith_normal_form(relations, keep_transforms=True)
         orders = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
+        # only out.V, out.V_inv and rel's U, U_inv and V are read
+        out.U = out.U_inv = rel.V_inv = None
         self._forms[d] = out, rel, orders
         return self._forms[d]
 

@@ -10,6 +10,7 @@ from momentangle import (
     cycle_complex,
     full_mask,
     full_skeleton,
+    hochster,
     hochster_decomposition,
     koszul_oracle,
     new_complex,
@@ -130,21 +131,32 @@ def test_decomposition_matches_full_range_cohomology():
 def test_scan_builds_only_the_cores(monkeypatch):
     """On the five-cycle, only the empty set, the vertices, the non-edges
     and the whole cycle lack a removable vertex; every other subset
-    reuses the groups of a smaller one and builds no restriction."""
+    reuses the groups of a smaller one.  A vertex is a simplex, so only
+    the empty set, the non-edges and the whole cycle compute groups, and
+    none of them builds a restriction."""
     c5 = cycle_complex(5)
     assert c5.is_flag   # cached, so the flag test's restriction is not counted
-    built = []
-    original = SimplicialComplex.restriction
+    computed, restricted = [], []
+    core_groups = hochster._core_groups
+    restriction = SimplicialComplex.restriction
 
-    def recording(self, mask):
-        built.append(mask)
-        return original(self, mask)
+    def recording_core(facets, coeffs):
+        support = 0
+        for f in facets:
+            support |= f
+        computed.append(support)
+        return core_groups(facets, coeffs)
 
-    monkeypatch.setattr(SimplicialComplex, "restriction", recording)
+    def recording_restriction(self, mask):
+        restricted.append(mask)
+        return restriction(self, mask)
+
+    monkeypatch.setattr(hochster, "_core_groups", recording_core)
+    monkeypatch.setattr(SimplicialComplex, "restriction", recording_restriction)
     hochster_decomposition(c5, "Z")
     non_edges = [vertex_mask([v, (v + 1) % 5 + 1]) for v in range(1, 6)]
-    singletons = [1 << v for v in range(1, 6)]
-    assert sorted(built) == sorted([0, *singletons, *non_edges, full_mask(5)])
+    assert sorted(computed) == sorted([0, *non_edges, full_mask(5)])
+    assert restricted == []
 
 
 def test_oracle_matches_decomposition_on_random_complexes():

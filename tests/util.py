@@ -7,15 +7,19 @@ import random
 from fractions import Fraction
 
 from momentangle import (
+    HochsterSummand,
     SimplicialComplex,
     enumerate_balanced_splits,
     flag_from_graph,
     in_split_region,
     mask_vertices,
     new_complex,
+    reduced_cohomology,
     split_center,
     vertex_mask,
 )
+from momentangle.hochster import _removable_vertex
+from momentangle.homology import homology_degree_window
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -96,6 +100,40 @@ def brute_neighbourliness(K, mask):
             if not K.is_face(vertex_mask(combo)):
                 return size - 1
     return len(verts)
+
+
+def hochster_by_restriction(complex, coeffs="Z"):
+    """``hochster_decomposition`` with each core built as a complex.
+
+    The subsets with a removable vertex reuse a smaller subset's groups
+    as in the scan; every other subset builds ``complex.restriction``,
+    skips a cone, and computes cohomology in its
+    ``homology_degree_window``, so no face is read off the facets
+    directly.
+    """
+    neighbourhoods = None
+    if complex.is_flag:
+        neighbourhoods = {1 << v: closed for v, closed
+                          in enumerate(complex.closed_neighbourhoods)}
+    groups_of = [()] * (1 << complex.n)
+    summands = []
+    for bits in range(1 << complex.n):
+        mask = bits << 1
+        removable = _removable_vertex(mask, complex.support, neighbourhoods)
+        if removable:
+            groups = groups_of[(mask ^ removable) >> 1]
+        else:
+            sub = complex.restriction(mask)
+            if sub.is_cone:
+                continue
+            full = reduced_cohomology(sub, coeffs, homology_degree_window(sub))
+            groups = tuple((d, g) for d, g in full.items() if not g.is_zero)
+        if groups:
+            groups_of[bits] = groups
+            shift = mask.bit_count() + 1
+            summands.append(HochsterSummand(
+                mask, [(d + shift, g) for d, g in groups]))
+    return summands
 
 
 def brute_split_tags(y):
