@@ -14,7 +14,10 @@ The join is never built.  By Künneth its cohomology is spanned by cross
 products of the factors' classes and, over ZZ, by one class per pair of
 torsion classes whose orders share a prime (the Tor summand), so each
 pair map is read off the cached calculators of I, J and I ∪ J
-(``CrossProductMap``).
+(``CrossProductMap``).  Each calculator's table of integral groups
+gives, by universal coefficients, how many generators a degree has over
+each coefficient system, so a degree where the target or the join has
+no classes is settled without a Smith transform.
 
 A certificate stops at the first nonzero map, so a QQ check that
 follows a zero ZZ map in the battery is skipped: by the universal
@@ -26,15 +29,20 @@ zero as well.  Reports that list the maps over every coefficient system
 Certificate reasons name the spaces of the unsuspended inclusion: its
 source is the restriction to I ∪ J and its target is the join.
 
-Every scan over all pairs (``pair_certificates``, ``splitting_verdict``,
-``cup_products_vanish``) reads one certificate stream, which walks the
-(3^n - 2^{n+1} + 1)/2 disjoint pairs once; ``cup_products_vanish`` is
-its set of NotNull pairs.  The stream refuses complexes with more than
-``MAX_PAIR_VERTICES`` vertices up front, then reads the neighbourliness
-once and settles every pair with a side no larger than it by size
-alone.  That size test belongs to the walk: a single-pair certificate
-(``null_certificate``, ``iota_pair``) reaches the same verdict through
-its cone test and walks no subsets.
+The scans over all pairs (``pair_certificates``, ``splitting_verdict``,
+``cup_products_vanish``) refuse complexes with more than
+``MAX_PAIR_VERTICES`` vertices up front, then read the neighbourliness
+m once.  A pair with a side of at most m vertices is Null by its sizes
+alone, since that side restricts to a simplex.  ``splitting_verdict``
+and ``cup_products_vanish`` read one certificate stream, which walks
+only the pairs with both sides larger than m, in canonical order
+(15,114 of the 261,625 disjoint pairs of ``full_skeleton(12, 3)``);
+``cup_products_vanish`` is its set of NotNull pairs.
+``pair_certificates`` reports every pair, so it walks all
+(3^n - 2^{n+1} + 1)/2 of them and marks the size-settled ones
+TargetContractible.  The size test belongs to the walks: a single-pair
+certificate (``null_certificate``, ``iota_pair``) reaches the same
+verdict through its cone test and walks no subsets.
 """
 
 from __future__ import annotations
@@ -135,24 +143,33 @@ class TheoremVerdict:
                 f"hypothesis_holds={self.hypothesis_holds})")
 
 
-def iter_disjoint_pairs(n):
-    """Unordered disjoint nonempty pairs of subsets of {1..n}.
+def iter_disjoint_pairs(n, above=0):
+    """Unordered disjoint pairs of subsets of {1..n} with more than
+    ``above`` vertices on each side (by default: nonempty).
 
     Each pair appears once, with the side containing the lowest vertex
     of I ∪ J first; pairs stream in ascending (I mask, J mask) order.
+    No pair with a smaller side is visited: J runs over the submasks of
+    the vertices above I's lowest in ascending order, and jumps past
+    those with too few vertices.
     """
     full = full_mask(n)
     for bits in range(1, 1 << n):
         first = bits << 1
-        complement = full ^ first
-        low_bit = first & -first
+        complement = full & ~first & -((first & -first) << 1)
+        if first.bit_count() <= above or complement.bit_count() <= above:
+            continue
         second = 0
         while True:
             second = (second - complement) & complement
             if not second:
                 break
-            if (first | second) & -(first | second) == low_bit:
-                yield first, second
+            # the least larger submask with one more vertex adds the
+            # lowest vertex of the complement that it misses
+            while second.bit_count() <= above:
+                missing = complement & ~second
+                second |= missing & -missing
+            yield first, second
 
 
 def _shuffle_sign(mask_a, mask_b):
@@ -229,20 +246,47 @@ class CrossProductMap(GradedMap):
     def matrix(self, d):
         if d in self._matrices:
             return self._matrices[d]
-        target = self.target
-        target_orders = target.orders(d) if d <= target.complex.dim else ()
-        cochains = []
-        if target_orders:
-            dim_i, dim_j = self.calc_i.complex.dim, self.calc_j.complex.dim
-            for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
-                cochains += self._cross(d, p, self.calc_i.generators(p),
-                                        self.calc_j.generators(d - 1 - p))
-            for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
-                cochains += self._tor_cochains(d, p)
-        columns = [target.class_coordinates(d, c) for c in cochains]
-        rows = [[col[i] for col in columns] for i in range(len(target_orders))]
+        # the generator counts come from the calculators' integral tables,
+        # so a degree with no target or no source classes needs no
+        # transform: it is no rows, or one empty row per target generator
+        size = self.target.generator_count(d)
+        if not size:
+            rows = []
+        elif not self._has_source_classes(d):
+            rows = [[] for _ in range(size)]
+        else:
+            rows = self._rows(d)
         self._matrices[d] = rows
         return rows
+
+    def _has_source_classes(self, d):
+        """Whether the join has a class in degree d: a cross product of
+        generators in degrees p and d - 1 - p, or over ``Z`` a Tor class
+        of torsion orders in degrees p and d - p that share a prime."""
+        calc_i, calc_j = self.calc_i, self.calc_j
+        if any(calc_i.generator_count(p) and calc_j.generator_count(d - 1 - p)
+               for p in range(-1, d + 1)):
+            return True
+        return calc_i.kind == "Z" and any(
+            math.gcd(e, f) > 1
+            for p in range(d + 1)
+            for e in calc_i.integral_group(p).torsion
+            for f in calc_j.integral_group(d - p).torsion)
+
+    def _rows(self, d):
+        """The matrix in degree d from the class coordinates of every
+        cross product and Tor cochain."""
+        target = self.target
+        dim_i, dim_j = self.calc_i.complex.dim, self.calc_j.complex.dim
+        cochains = []
+        for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
+            cochains += self._cross(d, p, self.calc_i.generators(p),
+                                    self.calc_j.generators(d - 1 - p))
+        for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
+            cochains += self._tor_cochains(d, p)
+        columns = [target.class_coordinates(d, c) for c in cochains]
+        return [[col[i] for col in columns]
+                for i in range(len(target.orders(d)))]
 
     def _cross(self, d, p, lefts, rights):
         """Restricted u × v for u in ``lefts`` (p-cochains of K_I) and v in
@@ -320,24 +364,18 @@ class _PairEngine:
         return self._induced[key]
 
     def certificates(self, battery):
-        """Stream ``(subset_i, subset_j, NullCertificate)`` over every
-        disjoint pair, in the canonical order of ``iter_disjoint_pairs``.
+        """Stream ``(subset_i, subset_j, NullCertificate)`` over the pairs
+        that need work, in the canonical order of ``iter_disjoint_pairs``.
 
-        The cap is checked before any subset walk, the neighbourliness
-        included.  A side of size at most the neighbourliness restricts
-        to a full simplex, so the join is a cone: such pairs are settled
-        by their sizes, with nothing built.
+        A side of size at most the neighbourliness restricts to a full
+        simplex, so the join is a cone and the pair is Null by its sizes
+        alone: only pairs with both sides larger are walked.
         """
-        if self.complex.n > MAX_PAIR_VERTICES:
-            raise ValueError(f"pair scans need at most {MAX_PAIR_VERTICES} "
-                             f"vertices, got {self.complex.n}")
-        neighbourliness = self.complex.neighbourliness
+        _refuse_above_cap(self.complex)
         return ((subset_i, subset_j,
-                 NullCertificate("Null", reason="TargetContractible")
-                 if min(subset_i.bit_count(),
-                        subset_j.bit_count()) <= neighbourliness
-                 else _certificate(self, subset_i, subset_j, battery))
-                for subset_i, subset_j in iter_disjoint_pairs(self.complex.n))
+                 _certificate(self, subset_i, subset_j, battery))
+                for subset_i, subset_j in iter_disjoint_pairs(
+                    self.complex.n, above=self.complex.neighbourliness))
 
     def report(self, subset_i, subset_j, battery, certificate):
         """The pair's certificate with its induced map over every
@@ -349,6 +387,14 @@ class _PairEngine:
 def _battery(coeffs):
     """A coefficient battery as a sequence; one label is a battery of one."""
     return (coeffs,) if isinstance(coeffs, str) else coeffs
+
+
+def _refuse_above_cap(complex):
+    """The all-pairs scans' cap, checked before any subset walk, the
+    neighbourliness included."""
+    if complex.n > MAX_PAIR_VERTICES:
+        raise ValueError(f"pair scans need at most {MAX_PAIR_VERTICES} "
+                         f"vertices, got {complex.n}")
 
 
 def _validate_pair(complex, subset_i, subset_j):
@@ -415,12 +461,22 @@ def iota_pair(complex, subset_i, subset_j, coeffs=DEFAULT_BATTERY):
 def pair_certificates(complex, coeffs=DEFAULT_BATTERY):
     """Certificate for every disjoint pair, sharing one cache engine.
 
-    Returns ``(subset_i, subset_j, NullCertificate)`` triples in the
-    canonical pair order.  A NotNull verdict anywhere means some induced
-    map is essential, so the product-vanishing question is settled by
-    scanning the verdicts.
+    Returns ``(subset_i, subset_j, NullCertificate)`` triples for every
+    disjoint pair, in the canonical pair order; a pair with a side no
+    larger than the neighbourliness is TargetContractible by its sizes.
+    A NotNull verdict anywhere means some induced map is essential, so
+    the product-vanishing question is settled by scanning the verdicts.
     """
-    return list(_PairEngine(complex).certificates(_battery(coeffs)))
+    _refuse_above_cap(complex)
+    engine = _PairEngine(complex)
+    battery = _battery(coeffs)
+    neighbourliness = complex.neighbourliness
+    return [(subset_i, subset_j,
+             NullCertificate("Null", reason="TargetContractible")
+             if min(subset_i.bit_count(),
+                    subset_j.bit_count()) <= neighbourliness
+             else _certificate(engine, subset_i, subset_j, battery))
+            for subset_i, subset_j in iter_disjoint_pairs(complex.n)]
 
 
 def cup_products_vanish(complex, coeffs=DEFAULT_BATTERY):
@@ -428,8 +484,9 @@ def cup_products_vanish(complex, coeffs=DEFAULT_BATTERY):
 
     The witnesses are the NotNull pairs of the certificate stream, each
     reported with its maps over every requested coefficient system; a
-    Null or Unknown pair has a zero map over each of them.  Returns
-    (all_zero, [PairReport for failures]).
+    Null or Unknown pair, and a pair the stream skips by its sizes, has
+    a zero map over each of them.  Returns (all_zero, [PairReport for
+    failures]).
     """
     battery = _battery(coeffs)
     engine = _PairEngine(complex)

@@ -84,6 +84,9 @@ class HomologyGroup:
         return f"HomologyGroup({', '.join(parts)})"
 
 
+_ZERO_GROUP = HomologyGroup(0)
+
+
 def face_levels(faces):
     """Faces by vertex count: entry k lists the faces with k vertices, in
     increasing mask order, up to the largest face."""
@@ -258,7 +261,10 @@ class CochainCalculator:
       cocycle mod p exactly when w_i ≡ 0 at every other i < r.
 
     ``over(coeffs)`` gives the calculator over other coefficients that
-    shares the chain complex, the coboundaries and the Smith forms.
+    shares the chain complex, the coboundaries, the Smith forms and the
+    table of integral groups.  That table (``integral_group``) comes from
+    rank-only Smith forms, so ``generator_count`` tells how many
+    generators a degree has without building any transform.
     Intended for small complexes.
     """
 
@@ -270,10 +276,11 @@ class CochainCalculator:
         self._coboundaries = {}
         self._forms = {}
         self._readings = {}
+        self._integral = {}
 
     def over(self, coeffs):
         """This complex's calculator over ``coeffs``, sharing this one's
-        chain complex, coboundaries and Smith forms."""
+        chain complex, coboundaries, Smith forms and integral groups."""
         if coeffs == self.coeffs:
             return self
         other = copy.copy(self)
@@ -374,6 +381,32 @@ class CochainCalculator:
         return [(alpha, orders[j], rel.V.column(j))
                 for j, alpha in zip(reading["kept"], reading["generators"])
                 if orders[j] > 1]
+
+    def integral_group(self, d):
+        """H̃^d(K; Z), read on first use for every degree at once from the
+        rank-only Smith forms of ``homology_degree_window``; zero outside
+        it."""
+        groups = self._integral
+        if not groups:
+            levels = [self.faces(k) for k in range(-1, self.complex.dim + 1)]
+            groups.update(_reduced_groups(
+                levels, "Z", homology_degree_window(self.complex),
+                cohomology=True))
+        return groups.get(d, _ZERO_GROUP)
+
+    def generator_count(self, d):
+        """``len(self.orders(d))``, by universal coefficients from the
+        integral groups: over ``Z`` the rank plus the torsion factors,
+        over ``Q`` the rank, and over ``F_p`` the rank plus the factors
+        divisible by p of H̃^d and of H̃^{d+1} (the Tor part)."""
+        group = self.integral_group(d)
+        if self.kind == "Z":
+            return group.rank + len(group.torsion)
+        if self.kind == "Q":
+            return group.rank
+        return group.rank + sum(
+            1 for e in group.torsion + self.integral_group(d + 1).torsion
+            if e % self.p == 0)
 
     def group(self, d):
         orders = self.orders(d)

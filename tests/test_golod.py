@@ -1,6 +1,7 @@
 """Pair certificates, the splitting decision procedure, cup products."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -34,7 +35,7 @@ from momentangle import (
     splitting_verdict,
     vertex_mask,
 )
-from momentangle import golod
+from momentangle import cli, golod
 from momentangle.homology import parse_coefficients
 from momentangle.golod import (
     DEFAULT_BATTERY,
@@ -46,7 +47,13 @@ from momentangle.golod import (
 )
 
 from test_acceptance import neighbourly_verdict_corpus, oracle_corpus
-from util import fixture_complex, random_antichain_complex, seeded
+from util import (
+    cross_product_matrix_by_cochains,
+    fixture_complex,
+    random_antichain_complex,
+    seeded,
+    splitting_verdict_by_full_stream,
+)
 
 
 def test_iter_disjoint_pairs_canonical_order():
@@ -66,6 +73,28 @@ def test_iter_disjoint_pairs_canonical_order():
             last = (i, j)
 
 
+def test_restricted_walk_is_the_filtered_canonical_walk():
+    for n in range(1, 10):
+        pairs = list(iter_disjoint_pairs(n))
+        for above in range(4):
+            assert list(iter_disjoint_pairs(n, above=above)) == [
+                (i, j) for i, j in pairs
+                if min(i.bit_count(), j.bit_count()) > above], (n, above)
+
+
+def test_verdict_matches_the_full_certificate_stream():
+    # the verdict walks only pairs with both sides above the
+    # neighbourliness; the full stream settles the rest by their sizes
+    corpus = [fixture_complex("cycle4.json"), fixture_complex("rp2.json"),
+              fixture_complex("nonneighbourly_regression.json", "complex"),
+              full_skeleton(9, 1)] + [cycle_complex(n) for n in (6, 7, 8)]
+    verdicts = [splitting_verdict(K) for K in corpus]
+    for K, verdict in zip(corpus, verdicts):
+        assert verdict.as_dict() == splitting_verdict_by_full_stream(K).as_dict()
+    assert {v.outcome for v in verdicts} == {"NotCoH", "CoH", "Inconclusive"}
+    assert max(len(v.unknown_pairs) for v in verdicts) > 1000
+
+
 def test_pair_validation_errors():
     c4 = cycle_complex(4)
     with pytest.raises(ValueError):
@@ -82,6 +111,19 @@ def test_pair_scans_refuse_complexes_above_the_cap():
     for scan in (splitting_verdict, pair_certificates, cup_products_vanish):
         with pytest.raises(ValueError, match="at most 12"):
             scan(K)
+
+
+def test_theorem_refuses_above_the_cap_before_any_walk(monkeypatch, tmp_path,
+                                                     capsys):
+    walked = []
+    monkeypatch.setattr(golod, "iter_disjoint_pairs",
+                        lambda *args, **kwargs: walked.append(args))
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(full_skeleton(13, 4).to_dict()))
+    for argv in (["theorem", str(path)], ["golod", str(path)]):
+        assert cli.main(argv) == 1
+        assert "at most 12" in capsys.readouterr().err
+    assert walked == []
 
 
 def test_single_pair_calls_walk_no_subsets():
@@ -577,3 +619,53 @@ def test_verdicts_without_the_hurewicz_flag_compute_no_connectivity(monkeypatch)
     cert = null_certificate(full_skeleton(8, 2), vertex_mask([1, 2, 3, 4]),
                             vertex_mask([5, 6, 7, 8]))
     assert cert.reason == "DimBelowConnectivity" and len(calls) == 2
+
+
+def _uct_complexes():
+    """Complexes with 2-torsion: every full subcomplex of RP², ΣRP² and
+    RP² * RP²."""
+    rp2 = fixture_complex("rp2.json")
+    return ([rp2.restriction(mask) for mask in range(2, 1 << 7, 2)]
+            + [shifted_join(rp2, full_skeleton(2, 0)), shifted_join(rp2, rp2)])
+
+
+def test_generator_counts_follow_universal_coefficients():
+    torsion = 0
+    for K in _uct_complexes():
+        calc = CochainCalculator(K, "Z")
+        for coeffs in ("Z", "Q", "F2", "F3", "F5"):
+            other = calc.over(coeffs)
+            for d in calc.degrees():
+                assert other.generator_count(d) == len(other.orders(d)), \
+                    (K.facets, coeffs, d)
+            assert other.generator_count(K.dim + 1) == 0
+        torsion += sum(len(calc.integral_group(d).torsion)
+                       for d in calc.degrees())
+    assert torsion >= 4
+
+
+def test_cross_product_matrices_on_torsion_fixtures_match_the_oracle():
+    """Every pair of RP² and of the four-cycle with a ghost vertex, and
+    the pairs of ``test_tor_columns_match_the_join`` that cost little,
+    against the unshortcut oracle over the default battery: F_p targets
+    read the Tor part of H̃^{d+1}, a ghost side has its class in degree
+    -1, and the joins of two RP²'s have Tor columns."""
+    rp2 = fixture_complex("rp2.json")
+    ghosted = SimplicialComplex(5, (f << 1 for f in
+                                    fixture_complex("cycle4.json").facets))
+    low, high = full_mask(6), full_mask(12) ^ full_mask(6)
+    cases = [(K, i, j) for K in (rp2, ghosted)
+             for i, j in iter_disjoint_pairs(K.n)]
+    cases += [(shifted_join(rp2, rp2), low, high), (_disjoint_rp2s(), low, high)]
+    shapes = set()
+    for K, i, j in cases:
+        for coeffs in DEFAULT_BATTERY:
+            got = _PairEngine(K).induced_map(i, j, coeffs)
+            want = _PairEngine(K).induced_map(i, j, coeffs)
+            for d in got.degrees():
+                rows = got.matrix(d)
+                assert rows == cross_product_matrix_by_cochains(want, d), \
+                    (K.facets, i, j, coeffs, d)
+                shapes.add("no target" if not rows else
+                           "no source" if not rows[0] else "columns")
+    assert shapes == {"no target", "no source", "columns"}

@@ -18,7 +18,8 @@ from momentangle import (
     split_center,
     vertex_mask,
 )
-from momentangle.hochster import _removable_vertex
+from momentangle.golod import TheoremVerdict, iota_pair, pair_certificates
+from momentangle.hochster import _removable_vertex, wedge_model
 from momentangle.homology import homology_degree_window
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -217,3 +218,45 @@ def fraction_gauge_radius(low_mask, high_mask, offset):
     cube_exit = min((1 - bk) / uk if uk > 0 else (-1 - bk) / uk
                     for bk, uk in zip(center, direction) if uk != 0)
     return min([cube_exit] + [-a / b for a, b in conditions if b < 0])
+
+
+# ----------------------------------------------------------------------
+# oracles for the pair engine's shortcuts
+
+
+def cross_product_matrix_by_cochains(pair_map, d):
+    """``CrossProductMap.matrix(d)`` with no generator-count shortcut.
+
+    Whenever the target has classes in degree d, every cross product and
+    Tor cochain is built and read off the target's Smith transforms, so
+    a degree with no source classes costs the target's transforms too.
+    """
+    target = pair_map.target
+    calc_i, calc_j = pair_map.calc_i, pair_map.calc_j
+    target_orders = target.orders(d) if d <= target.complex.dim else ()
+    cochains = []
+    if target_orders:
+        dim_i, dim_j = calc_i.complex.dim, calc_j.complex.dim
+        for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
+            cochains += pair_map._cross(d, p, calc_i.generators(p),
+                                        calc_j.generators(d - 1 - p))
+        for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
+            cochains += pair_map._tor_cochains(d, p)
+    columns = [target.class_coordinates(d, c) for c in cochains]
+    return [[col[i] for col in columns] for i in range(len(target_orders))]
+
+
+def splitting_verdict_by_full_stream(complex):
+    """``splitting_verdict`` read off ``pair_certificates``, which walks
+    every disjoint pair, the pairs settled by their sizes included."""
+    hypothesis = complex.is_third_neighbourly
+    unknown = []
+    for subset_i, subset_j, certificate in pair_certificates(complex):
+        if certificate.verdict == "NotNull":
+            return TheoremVerdict(hypothesis, "NotCoH",
+                                  witness=iota_pair(complex, subset_i, subset_j))
+        if certificate.verdict == "Unknown":
+            unknown.append((subset_i, subset_j))
+    if hypothesis and not unknown:
+        return TheoremVerdict(True, "CoH", wedge=wedge_model(complex, "Z"))
+    return TheoremVerdict(hypothesis, "Inconclusive", unknown_pairs=unknown)
