@@ -342,8 +342,15 @@ def split_center(low_mask, high_mask, n):
     return tuple(values[h + 1] for h in _center_halves(low_mask, high_mask, n))
 
 
-def _contraction_step(y, low_mask, high_mask, t):
-    """``(1 - t)·y + t·center``, one Fraction per coordinate, unchecked."""
+def contract_toward_center(y, low_mask, high_mask, t):
+    """Straight-line contraction of a split-region point onto the center:
+    ``(1 - t)·y + t·center``, one Fraction per coordinate."""
+    y = rational_point(y)
+    t = as_fraction(t)
+    if not _ZERO <= t <= _ONE:
+        raise ValueError("contraction time must lie in [0, 1]")
+    if not in_split_region(y, low_mask, high_mask):
+        raise ValueError("point is outside the split region")
     halves = _center_halves(low_mask, high_mask, len(y) + 1)
     nums, den = _scaled(y)
     a, b = t.numerator, t.denominator
@@ -351,17 +358,6 @@ def _contraction_step(y, low_mask, high_mask, t):
         Fraction(2 * (b - a) * c + a * h * den, 2 * b * den)
         for c, h in zip(nums, halves)
     )
-
-
-def contract_toward_center(y, low_mask, high_mask, t):
-    """Straight-line contraction of a split-region point onto the center."""
-    y = rational_point(y)
-    t = as_fraction(t)
-    if not _ZERO <= t <= _ONE:
-        raise ValueError("contraction time must lie in [0, 1]")
-    if not in_split_region(y, low_mask, high_mask):
-        raise ValueError("point is outside the split region")
-    return _contraction_step(y, low_mask, high_mask, t)
 
 
 # ----------------------------------------------------------------------

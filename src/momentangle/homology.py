@@ -150,6 +150,30 @@ class ChainComplex:
                    for d in range(self.lo, self.hi + 1))
 
 
+def _spanning_forest_size(edges):
+    """The number of edges in a spanning forest of the graph whose edges
+    are the two-bit masks ``edges``: its vertex count minus its number of
+    connected components, counted by union-find on the vertex bits."""
+    parent = {}
+
+    def root(v):
+        while v in parent:
+            up = parent[v]
+            grand = parent.get(up, up)
+            parent[v] = grand   # path halving
+            v = grand
+        return v
+
+    joined = 0
+    for edge in edges:
+        low = edge & -edge
+        a, b = root(low), root(edge ^ low)
+        if a != b:
+            parent[a] = b
+            joined += 1
+    return joined
+
+
 def _reduced_groups(levels, coeffs, degree_range, cohomology):
     """Groups in degrees lo..hi (default -1..dim) of the complex whose
     faces are ``levels`` (see ``face_levels``), from the ranks of
@@ -158,8 +182,21 @@ def _reduced_groups(levels, coeffs, degree_range, cohomology):
     This is the one routine from faces to groups: ``reduced_homology``
     and ``reduced_cohomology`` pass a complex's faces, and the Hochster
     scan the faces it enumerates for each subset.  A boundary matrix is
-    built only when ∂_d has both source and target faces; otherwise its
-    rank is 0.
+    built only for a ∂_d with d ≥ 2 and faces on both sides; a ∂_d with
+    no source or no target faces has rank 0.
+
+    The two lowest boundaries need no matrix.  ∂_0 sends every vertex to
+    the empty face, so it has rank 1 and cokernel 0.  ∂_1 is the
+    incidence matrix of the graph of vertices and edges.  Peeling the
+    leaves of a spanning forest one at a time pairs each forest edge with
+    the vertex it hangs, so against the other vertices, one root per
+    component, the forest's columns are triangular with ±1 on the
+    diagonal.  Any other edge's column is a signed sum of forest columns,
+    along the forest path between its ends.  So rank ∂_1 = V − c, with c
+    the number of connected components (``_spanning_forest_size``), and
+    the cokernel is free of rank c over ``Z`` and over every field: the
+    rank and invariant factors (all 1) that a Smith form or a rank mod p
+    would give.
 
     Integral torsion of H̃_d is that of coker ∂_{d+1}; the coboundary out
     of degree d is the transpose of ∂_{d+1}, so torsion of H̃^d is that of
@@ -192,6 +229,10 @@ def _reduced_groups(levels, coeffs, degree_range, cohomology):
         sources, targets = faces(d), faces(d - 1)
         if not (sources and targets):
             ranks[d], torsion[d] = 0, ()
+            continue
+        if d < 2:
+            ranks[d] = 1 if d == 0 else _spanning_forest_size(sources)
+            torsion[d] = ()
             continue
         matrix = _boundary_matrix(sources,
                                   {f: i for i, f in enumerate(targets)})

@@ -13,11 +13,10 @@ on complexes where some small vertex set fails to be a face.
 A sample's region tags come from :func:`~momentangle.clusters.split_tags`,
 which tests only the cuts of the sorted point, and every cluster radius
 of a block from one sort (:func:`~momentangle.clusters.cluster_radii`).
-Both reports draw parameters from one seeded sampler; the retraction
-check reads membership, spread and radii from one region-statistics call
-per point, and contracts with the unchecked step that
-:func:`~momentangle.clusters.contract_toward_center` wraps, so the
-sampled point's membership is tested once.
+Both reports draw parameters from one seeded sampler.  The retraction
+check scales the sampled point to integers once and moves those
+numerators toward the split center, so each contracted point's region
+test, width and radii are integer work with no ``Fraction`` built.
 """
 
 import random
@@ -26,7 +25,10 @@ from fractions import Fraction
 from .clusters import (
     MembershipViolation,
     SuspensionPoint,
-    _contraction_step,
+    _center_halves,
+    _region_radii,
+    _scaled,
+    anchored,
     enumerate_balanced_splits,
     factor_tagging_map,
     in_cluster_region,
@@ -35,7 +37,6 @@ from .clusters import (
     radial_gauge,
     radial_gauge_inverse,
     split_center,
-    split_region_statistics,
     split_tags,
     tagging_homotopy,
     tagging_map,
@@ -153,23 +154,41 @@ def split_region_report(n, samples, seed):
 
 
 def _retraction_holds(y, low, high, n, times):
-    """Contraction closure plus the exact spread/radius scaling laws.
+    """Contraction closure plus the exact spread/radius scaling laws, on
+    integers.
 
-    ``y`` is tested once, by its own statistics; each contracted point is
-    then tested by the statistics it is compared with.
+    The anchored point is scaled once to numerators c over ``den``.  At
+    time t = a/b the contracted point (1 - t)·y + t·center has the
+    numerators c' = 2(b - a)·c + a·h·den over 2b·den, where h is twice
+    the center's coordinate (0 at the anchor).  Each c' must lie strictly
+    inside the cube, else ``ValueError`` as from the region test, and
+    each contracted point in the region.  There the laws are integer
+    identities: the width (max - min) becomes 2(b - a)·width + a·den,
+    which is the spread law spread' = (1 - t)·spread + t/(2n), and every
+    cluster radius r becomes 2(b - a)·r.
     """
-    spread, *radii = split_region_statistics(y, low, high)
+    halves = _center_halves(low, high, len(y) + 1) + (0,)
+    nums, den = _scaled(anchored(y))
+    size = len(nums)
+    stats = _region_radii(nums, low, high)
+    if stats is None:
+        return False
+    width, *radii = stats
     for t in times:
-        stats = split_region_statistics(_contraction_step(y, low, high, t),
-                                        low, high)
+        a, b = t.numerator, t.denominator
+        keep, bound = 2 * (b - a), 2 * b * den
+        moved = [keep * c + a * h * den for c, h in zip(nums, halves)]
+        if any(abs(c) >= bound for c in moved):
+            raise ValueError("point must lie strictly inside the cube")
+        stats = _region_radii(moved, low, high)
         if stats is None:
             return False
-        spread_t, *radii_t = stats
-        keep = 1 - t
-        if spread_t != keep * spread + t * Fraction(1, 2 * n):
+        width_t, *radii_t = stats
+        # the spread law times 2b·den·size·n, for any n the caller passes
+        if n * (width_t - keep * width) != a * den * size:
             return False
         for before, after in zip(radii, radii_t):
-            if after != {v: keep * radius for v, radius in before.items()}:
+            if after != {v: keep * r for v, r in before.items()}:
                 return False
     return True
 

@@ -5,13 +5,15 @@ drawing the inputs: the tags of a point from sorted cuts against every
 balanced split, and a block's radii from one sort against the per-vertex
 rule.  Two more pin what the cluster layer states once: the collapse,
 equality and hash shared by both point classes, and the tagging
-homotopy's endpoints.  The last five check the integer geometry against
+homotopy's endpoints.  The last six check the integer geometry against
 its Fraction-arithmetic oracles in ``util``: region statistics and
-contraction, damping factors and the damped payload, level blocks, the
-radii of blocks with at most ``m`` members, and the gauge's exit radius.
+contraction, the region report's retraction check, damping factors and
+the damped payload, level blocks, the radii of blocks with at most ``m``
+members, and the gauge's exit radius.
 Runs are derandomized, so every run draws the same examples.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,7 @@ from momentangle import (
     tagging_homotopy,
     tagging_map,
 )
+from momentangle import verify
 from momentangle.clusters import (
     _blocked_obstruction,
     _damped_point,
@@ -56,6 +59,7 @@ from util import (
     fraction_damping_factors,
     fraction_gauge_radius,
     fraction_level_blocks,
+    fraction_retraction_holds,
     fraction_split_region_statistics,
     per_vertex_cluster_radius,
     per_vertex_radii,
@@ -204,6 +208,26 @@ def test_region_statistics_are_the_fraction_rule(case, t):
         center = split_center(low, high, len(z))
         assert contract_toward_center(y, low, high, t) == tuple(
             (1 - t) * c + t * b for c, b in zip(y, center))
+
+
+REPORT_TIMES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+@FEWER
+@given(st.integers(4, 9), st.integers(0, 2**32))
+def test_retraction_check_is_the_fraction_rule(n, seed):
+    # the region report's own draws, uniform and near split centres; at a
+    # wrong n the spread law fails at t > 0, so both versions say False
+    checked = 0
+    for y in verify._report_params(random.Random(seed), n, 16):
+        for low, high in split_tags(y):
+            for m in (n, n - 1, n + 1):
+                holds = verify._retraction_holds(y, low, high, m, REPORT_TIMES)
+                assert holds is fraction_retraction_holds(
+                    y, low, high, m, REPORT_TIMES)
+                assert holds is (m == n)
+            checked += 1
+    assert checked
 
 
 # anchors of n = 1..9 coordinates, among them constant ones

@@ -14,8 +14,10 @@ from momentangle import (
     boundary_simplex,
     connectivity_certificate,
     cycle_complex,
+    flag_from_graph,
     full_mask,
     full_skeleton,
+    hochster_decomposition,
     mask_vertices,
     new_complex,
     random_complex,
@@ -25,6 +27,7 @@ from momentangle import (
     single_non_face,
     vertex_mask,
 )
+from momentangle import homology
 from momentangle.homology import (
     DEFAULT_BATTERY,
     check_subcomplex,
@@ -38,7 +41,12 @@ from momentangle.linalg import (
     field_solve,
 )
 
-from util import fixture_complex, random_antichain_complex, seeded
+from util import (
+    fixture_complex,
+    octahedron_boundary,
+    random_antichain_complex,
+    seeded,
+)
 
 
 def groups_of(complex, coeffs="Z"):
@@ -412,3 +420,37 @@ def test_homology_group_semantics():
     assert g != HomologyGroup(2)
     assert HomologyGroup(0).is_zero
     assert g.as_dict() == {"rank": 2, "torsion": [2, 4]}
+
+
+def test_graphs_need_no_matrix(monkeypatch):
+    # ∂_0 and ∂_1 of a graph are ranked with no matrix: with the Smith
+    # form and the rank mod p patched to raise, a cycle's homology and
+    # the Hochster scan of an 8-cycle (whose cores are graphs) still run
+    def refuse(matrix, *args, **kwargs):
+        raise AssertionError("a graph's boundary reached the matrix path")
+
+    monkeypatch.setattr(homology, "smith_normal_form", refuse)
+    monkeypatch.setattr(homology, "rank_mod_p", refuse)
+    eight_cycle = flag_from_graph(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    for coeffs in DEFAULT_BATTERY:
+        groups = reduced_homology(cycle_complex(7), coeffs)
+        assert groups[1] == HomologyGroup(1)
+        assert all(groups[d].is_zero for d in (-1, 0))
+        assert hochster_decomposition(eight_cycle, coeffs)
+
+
+def test_octahedron_needs_one_smith_form(monkeypatch):
+    # the boundary of the octahedron (m = 1, dim 2): only ∂_2 is a matrix
+    octahedron = octahedron_boundary()
+    sizes = []
+    smith = homology.smith_normal_form
+
+    def counted(matrix, *args, **kwargs):
+        sizes.append((matrix.num_rows, matrix.num_cols))
+        return smith(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    groups = reduced_homology(octahedron, "Z")
+    assert groups[2] == HomologyGroup(1)
+    assert all(groups[d].is_zero for d in (-1, 0, 1))
+    assert sizes == [(12, 8)]

@@ -20,7 +20,13 @@ from momentangle import (
 )
 from momentangle.golod import TheoremVerdict, iota_pair, pair_certificates
 from momentangle.hochster import _removable_vertex, wedge_model
-from momentangle.homology import homology_degree_window
+from momentangle.homology import (
+    HomologyGroup,
+    _boundary_matrix,
+    homology_degree_window,
+    parse_coefficients,
+)
+from momentangle.linalg import rank_mod_p, smith_normal_form
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -63,15 +69,23 @@ def all_complexes_on(n):
     return out
 
 
-def random_antichain_complex(rng, n, max_facets=None):
-    """A complex drawn by sampling facets directly (antichain pruning is
-    done by the constructor)."""
+def octahedron_boundary():
+    """The boundary of the octahedron: K_{2,2,2}'s flag complex, with
+    {1, 2}, {3, 4} and {5, 6} its missing edges."""
+    return flag_from_graph(
+        6, [(a, b) for a, b in itertools.combinations(range(1, 7), 2)
+            if (a, b) not in ((1, 2), (3, 4), (5, 6))])
+
+
+def random_antichain_complex(rng, n, max_facets=None, max_size=None):
+    """A complex drawn by sampling facets of 1..``max_size`` (default n)
+    vertices directly (antichain pruning is done by the constructor)."""
     if max_facets is None:
         max_facets = n + 2
     count = rng.randint(1, max_facets)
     facets = []
     for _ in range(count):
-        size = rng.randint(1, n)
+        size = rng.randint(1, min(n, max_size or n))
         facets.append(sorted(rng.sample(range(1, n + 1), size)))
     return new_complex(n, facets)
 
@@ -137,6 +151,40 @@ def hochster_by_restriction(complex, coeffs="Z"):
     return summands
 
 
+def reduced_groups_by_matrices(levels, coeffs, degree_range, cohomology):
+    """``homology._reduced_groups`` with every boundary matrix built.
+
+    No rank is known in advance: not ∂_0 or ∂_1, and not the bottom of a
+    neighbourly window.  Each ∂_d with faces on both sides is a matrix
+    ranked by ``smith_normal_form`` (``Z``, ``Q``) or ``rank_mod_p``.
+    """
+    kind, p = parse_coefficients(coeffs)
+    lo, hi = degree_range if degree_range else (-1, len(levels) - 2)
+    lo = max(lo, -1)
+
+    def faces(d):
+        return levels[d + 1] if 0 <= d + 1 < len(levels) else ()
+
+    ranks, torsion = {}, {}
+    for d in range(lo, hi + 2):
+        sources, targets = faces(d), faces(d - 1)
+        ranks[d], torsion[d] = 0, ()
+        if not (sources and targets):
+            continue
+        matrix = _boundary_matrix(sources,
+                                  {f: i for i, f in enumerate(targets)})
+        if kind == "F":
+            ranks[d] = rank_mod_p(matrix, p)
+        else:
+            form = smith_normal_form(matrix)
+            ranks[d] = form.rank
+            torsion[d] = form.torsion if kind == "Z" else ()
+    source = 0 if cohomology else 1
+    return {d: HomologyGroup(len(faces(d)) - ranks[d] - ranks[d + 1],
+                             torsion[d + source])
+            for d in range(lo, hi + 1)}
+
+
 def brute_split_tags(y):
     """The tags of a cube point by testing every balanced split."""
     n = len(y) + 1
@@ -175,6 +223,30 @@ def fraction_split_region_statistics(y, low_mask, high_mask):
     if any(r >= spread for block in radii for r in block.values()):
         return None
     return spread, radii[0], radii[1]
+
+
+def fraction_retraction_holds(y, low, high, n, times):
+    """``verify._retraction_holds`` in Fraction arithmetic: each point
+    (1 - t)·y + t·center must be in the cube (else ``ValueError``) and in
+    the region, with spread (1 - t)·spread + t/(2n) and every radius
+    scaled by 1 - t."""
+    center = split_center(low, high, len(y) + 1)
+    spread, *radii = fraction_split_region_statistics(y, low, high)
+    for t in times:
+        moved = tuple((1 - t) * c + t * b for c, b in zip(y, center))
+        if any(abs(c) >= 1 for c in moved):
+            raise ValueError("point must lie strictly inside the cube")
+        stats = fraction_split_region_statistics(moved, low, high)
+        if stats is None:
+            return False
+        spread_t, *radii_t = stats
+        keep = 1 - t
+        if spread_t != keep * spread + t * Fraction(1, 2 * n):
+            return False
+        for before, after in zip(radii, radii_t):
+            if after != {v: keep * radius for v, radius in before.items()}:
+                return False
+    return True
 
 
 def fraction_damping_factors(z):
