@@ -56,7 +56,6 @@ from momentangle.golod import (
     NullCertificate,
     PairReport,
     TheoremVerdict,
-    cup_product,
     cup_products_vanish,
     iota_pair,
     iter_disjoint_pairs,

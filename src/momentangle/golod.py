@@ -14,10 +14,14 @@ The join is never built.  By Künneth its cohomology is spanned by cross
 products of the factors' classes and, over ZZ, by one class per pair of
 torsion classes whose orders share a prime (the Tor summand), so each
 pair map is read off the cached calculators of I, J and I ∪ J
-(``CrossProductMap``).  Each calculator's table of integral groups
-gives, by universal coefficients, how many generators a degree has over
-each coefficient system, so a degree where the target or the join has
-no classes is settled without a Smith transform.
+(``CrossProductMap``).  A mask's calculator is built from K's facets cut
+down to it, as the Hochster scan reads its cores, and its chain complex
+(``homology.ChainComplex``) is the one per-mask record: the cone tests,
+the dimension and the Hurewicz test read it, and so does the
+connectivity, off its table of integral groups.  That table also gives,
+by universal coefficients, how many generators a degree has over each
+coefficient system, so a degree where the target or the join has no
+classes is settled without a Smith transform.
 
 A certificate stops at the first nonzero map, so a QQ check that
 follows a zero ZZ map in the battery is skipped: by the universal
@@ -54,10 +58,12 @@ from momentangle.homology import (
     DEFAULT_BATTERY,
     CochainCalculator,
     GradedMap,
-    connectivity_certificate,
     hurewicz_applies,
 )
 from momentangle.hochster import wedge_model
+# Unused here (connectivity is read off each chain complex's integral
+# table), but the benchmark's tracer wraps this module attribute by name.
+from momentangle.homology import connectivity_certificate  # noqa: F401
 
 # Largest vertex count the all-pairs scans accept: 261,625 pairs at n = 12.
 MAX_PAIR_VERTICES = 12
@@ -239,8 +245,8 @@ class CrossProductMap(GradedMap):
         self._matrices = {}
 
     def degrees(self):
-        top = max(self.target.complex.dim,
-                  self.calc_i.complex.dim + self.calc_j.complex.dim + 1)
+        top = max(self.target.chain.dim,
+                  self.calc_i.chain.dim + self.calc_j.chain.dim + 1)
         return range(-1, top + 1)
 
     def matrix(self, d):
@@ -277,7 +283,7 @@ class CrossProductMap(GradedMap):
         """The matrix in degree d from the class coordinates of every
         cross product and Tor cochain."""
         target = self.target
-        dim_i, dim_j = self.calc_i.complex.dim, self.calc_j.complex.dim
+        dim_i, dim_j = self.calc_i.chain.dim, self.calc_j.chain.dim
         cochains = []
         for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
             cochains += self._cross(d, p, self.calc_i.generators(p),
@@ -294,7 +300,7 @@ class CrossProductMap(GradedMap):
         if not (lefts and rights):
             return []
         return _cross_product_cochains(
-            self.target.faces(d), self.calc_i.complex.support,
+            self.target.faces(d), self.calc_i.chain.support,
             self.calc_i.face_index(p), lefts,
             self.calc_j.face_index(d - 1 - p), rights)
 
@@ -320,37 +326,30 @@ class CrossProductMap(GradedMap):
 
 
 class _PairEngine:
-    """Per-run caches for restrictions, calculators and induced maps, plus
-    the one pair walk and the one pair-report builder."""
+    """Per-run caches for calculators and induced maps, plus the one pair
+    walk and the one pair-report builder."""
 
     def __init__(self, complex):
         self.complex = complex
-        self._restrictions = {}
-        self._connectivity = {}
         self._calculators = {}
         self._induced = {}
 
-    def restriction(self, mask):
-        if mask not in self._restrictions:
-            self._restrictions[mask] = self.complex.restriction(mask)
-        return self._restrictions[mask]
-
-    def connectivity(self, mask):
-        if mask not in self._connectivity:
-            self._connectivity[mask] = connectivity_certificate(
-                self.restriction(mask))
-        return self._connectivity[mask]
-
-    def calculator(self, mask, coeffs):
-        """Cochain calculator of the restriction to ``mask``: one integral
-        calculator per mask, read over ``coeffs``."""
+    def calculator(self, mask, coeffs="Z"):
+        """Cochain calculator of K_I for I = ``mask``, read off K's facets
+        cut down to I: one integral calculator per mask, read over
+        ``coeffs``."""
         key = (mask, coeffs)
         if key not in self._calculators:
             if (mask, "Z") not in self._calculators:
                 self._calculators[mask, "Z"] = CochainCalculator(
-                    self.restriction(mask), "Z")
+                    {f & mask for f in self.complex.facets}, "Z")
             self._calculators[key] = self._calculators[mask, "Z"].over(coeffs)
         return self._calculators[key]
+
+    def chain(self, mask):
+        """The chain complex of K_I for I = ``mask``: its cone test,
+        dimension, neighbourliness and connectivity."""
+        return self.calculator(mask).chain
 
     def induced_map(self, subset_i, subset_j, coeffs):
         """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J, read from
@@ -408,19 +407,16 @@ def _validate_pair(complex, subset_i, subset_j):
 
 def _certificate(engine, subset_i, subset_j, battery=DEFAULT_BATTERY):
     """Certificate cascade for one pair, cheapest arguments first."""
-    if (engine.restriction(subset_i).is_cone
-            or engine.restriction(subset_j).is_cone):
+    side_i, side_j = engine.chain(subset_i), engine.chain(subset_j)
+    if side_i.apex or side_j.apex:
         return NullCertificate("Null", reason="TargetContractible")
-    union = subset_i | subset_j
-    if engine.restriction(union).is_cone:
+    union = engine.chain(subset_i | subset_j)
+    if union.apex:
         return NullCertificate("Null", reason="SourceContractible")
     # neither side is a cone, so its connectivity is topological exactly
-    # when the Hurewicz flag holds; without it no connectivity is computed
-    if (hurewicz_applies(engine.restriction(subset_i))
-            and hurewicz_applies(engine.restriction(subset_j))):
-        conn_i, _ = engine.connectivity(subset_i)
-        conn_j, _ = engine.connectivity(subset_j)
-        if engine.restriction(union).dim <= conn_i + conn_j + 2:
+    # when the Hurewicz flag holds; without it no connectivity is read
+    if hurewicz_applies(side_i) and hurewicz_applies(side_j):
+        if union.dim <= side_i.connectivity + side_j.connectivity + 2:
             return NullCertificate("Null", reason="DimBelowConnectivity")
     for k, coeffs in enumerate(battery):
         # Every earlier map was zero.  If Z was among them, the universal
@@ -522,71 +518,3 @@ def splitting_verdict(complex):
     if hypothesis and not unknown:
         return TheoremVerdict(True, "CoH", wedge=wedge_model(complex, "Z"))
     return TheoremVerdict(hypothesis, "Inconclusive", unknown_pairs=unknown)
-
-
-# ----------------------------------------------------------------------
-# products of decomposition classes
-
-
-class SummandClass:
-    """A cohomology class in one summand: subset, degree, coordinates."""
-
-    def __init__(self, subset_mask, degree, coords):
-        self.subset_mask = subset_mask
-        self.degree = degree
-        self.coords = tuple(coords)
-
-    @property
-    def is_zero(self):
-        return all(not c for c in self.coords)
-
-    def __repr__(self):
-        return (f"SummandClass(I={list(mask_vertices(self.subset_mask))}, "
-                f"degree={self.degree}, coords={self.coords})")
-
-
-def cup_product(complex, field, class_i, class_j):
-    """Product of two summand classes, landing in the union's summand.
-
-    The product of classes supported on I and J lives in degree
-    p + q + 1 of the restriction to I ∪ J; when I and J overlap it is
-    zero by definition.  On a face f of that degree the representing
-    cochain evaluates, up to the sign convention below, to
-    α(f ∩ I)·β(f ∩ J) — with the Künneth sign (-1)^{(p+1)(q+1)} and the
-    shuffle sign of interleaving f ∩ I with f ∩ J.
-    """
-    engine = _PairEngine(complex)
-    p, q = class_i.degree, class_j.degree
-    union = class_i.subset_mask | class_j.subset_mask
-    target = engine.calculator(union, field)
-    target_orders = target.orders(p + q + 1) if p + q + 1 <= max(
-        target.complex.dim, -1) else ()
-    zero = SummandClass(union, p + q + 1, (0,) * len(target_orders))
-    if class_i.subset_mask & class_j.subset_mask:
-        return zero
-    calc_i = engine.calculator(class_i.subset_mask, field)
-    calc_j = engine.calculator(class_j.subset_mask, field)
-    for calc, cls in ((calc_i, class_i), (calc_j, class_j)):
-        if len(cls.coords) != len(calc.orders(cls.degree)):
-            raise ValueError("class coordinate length does not match the "
-                             "summand's basis")
-    if not target_orders:
-        return zero
-    kunneth = -1 if ((p + 1) * (q + 1)) % 2 else 1
-    (product,) = _cross_product_cochains(
-        target.faces(p + q + 1), class_i.subset_mask,
-        calc_i.face_index(p), [_combined_cochain(calc_i, class_i)],
-        calc_j.face_index(q), [_combined_cochain(calc_j, class_j)])
-    return SummandClass(union, p + q + 1, target.class_coordinates(
-        p + q + 1, [kunneth * v for v in product]))
-
-
-def _combined_cochain(calculator, summand_class):
-    generators = calculator.generators(summand_class.degree)
-    size = len(calculator.faces(summand_class.degree))
-    out = [0] * size
-    for coeff, gen in zip(summand_class.coords, generators):
-        if coeff:
-            for i, v in enumerate(gen):
-                out[i] += coeff * v
-    return out

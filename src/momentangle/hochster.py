@@ -17,7 +17,9 @@ vertex dominated in the flag complex K_I (its link is a cone), deleting
 that vertex keeps the homotopy type, so I takes the groups of the smaller
 subset, which the scan in increasing mask order has already computed.
 Only the strong-collapse cores compute groups, and they read K_I straight
-off K's facets cut down to I: no restricted complex is built.
+off K's facets cut down to I, as a ``homology.ChainComplex``: no
+restricted complex is built.  The pair engine of ``golod`` reads each
+K_I the same way.
 """
 
 from __future__ import annotations
@@ -25,13 +27,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from momentangle.complexes import (
-    iter_submasks,
-    mask_vertices,
-    neighbourliness_from_counts,
-    vertex_mask,
-)
-from momentangle.homology import _reduced_groups, face_levels, parse_coefficients
+from momentangle.complexes import mask_vertices, vertex_mask
+from momentangle.homology import ChainComplex, parse_coefficients
 # Unused here, but the benchmark's tracer wraps these two module attributes.
 from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
@@ -184,36 +181,15 @@ def _core_groups(restricted, coeffs):
     """The nonzero groups (d, H̃^d(K_I)) of a core, ascending in d.
 
     ``restricted`` is the set of K's facets cut down to I; the faces of
-    K_I are their submasks.  A cone is contractible and has no groups
-    (``_restricted_faces`` finds its apex); otherwise the groups are
-    computed in the window of ``homology_degree_window``, read off the
-    face counts.
+    K_I are their submasks (``ChainComplex``).  A cone is contractible and
+    has no groups; otherwise the groups are computed from m - 1 up, m the
+    neighbourliness read off the face counts.
     """
-    faces, apex = _restricted_faces(restricted)
-    if apex:
+    chain = ChainComplex(restricted)
+    if chain.apex:
         return ()
-    levels = face_levels(faces)
-    m = neighbourliness_from_counts([len(level) for level in levels])
-    groups = _reduced_groups(levels, coeffs, (m - 1, len(levels) - 2),
-                             cohomology=True)
-    return tuple((d, g) for d, g in groups.items() if not g.is_zero)
-
-
-def _restricted_faces(restricted):
-    """The faces of the complex whose facets lie among ``restricted``, and
-    the vertices its facets share.
-
-    The masks are taken largest first and one already seen is skipped: it
-    lies in a larger one.  So the masks met unseen are exactly the facets,
-    with no antichain pruning, and a nonzero intersection of them is the
-    apex set of a cone.
-    """
-    faces, apex = set(), -1
-    for f in sorted(restricted, key=int.bit_count, reverse=True):
-        if f not in faces:
-            apex &= f
-            faces.update(iter_submasks(f))
-    return faces, apex
+    return tuple((d, g) for d, g in chain.cohomology(coeffs).items()
+                 if not g.is_zero)
 
 
 def _removable_vertex(mask, support, neighbourhoods):

@@ -11,6 +11,10 @@ subcomplex inclusions become honest matrices that compose correctly.
 Every coefficient system reads its basis off one integral presentation,
 the Smith forms of the coboundaries (``CochainCalculator``).
 
+``ChainComplex`` is the one per-mask record: built from K's facets cut
+down to I, it holds the faces of K_I, its cone apex, dimension, support
+neighbourliness and table of integral cohomology, with no K_I built.
+
 ``InducedMap`` reads such a map off the calculators of both complexes.
 The pair maps into a join K_I * K_J never need the join's calculator: by
 Künneth they are read from the factors' cached classes, as cross
@@ -22,8 +26,14 @@ from __future__ import annotations
 
 import copy
 import math
+from functools import cached_property, reduce
+from operator import or_
 
-from momentangle.complexes import mask_vertices, neighbourliness_from_counts
+from momentangle.complexes import (
+    iter_submasks,
+    mask_vertices,
+    neighbourliness_from_counts,
+)
 from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
 # Unused here (every coefficient system is read off the integral Smith
 # forms), but the benchmark's tracer wraps these module attributes by name.
@@ -90,8 +100,9 @@ _ZERO_GROUP = HomologyGroup(0)
 def face_levels(faces):
     """Faces by vertex count: entry k lists the faces with k vertices, in
     increasing mask order, up to the largest face."""
-    levels = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
-    for f in sorted(faces):
+    ordered = sorted(faces)
+    levels = [[] for _ in range(max(map(int.bit_count, ordered)) + 1)]
+    for f in ordered:
         levels[f.bit_count()].append(f)
     return levels
 
@@ -118,28 +129,63 @@ def _boundary_matrix(sources, target_index):
 
 
 class ChainComplex:
-    """Simplicial chain complex of a complex, empty face included.
+    """The reduced chain complex of the complex whose faces are the
+    submasks of ``masks``: a complex's ``facets``, or K's facets cut down
+    to I for the full subcomplex K_I.
 
-    Degree d holds the faces with d+1 vertices, sorted by mask value.
+    It holds ``support``, ``apex`` (the vertices every facet shares,
+    nonzero exactly for a cone) and the faces by degree (``levels``:
+    degree d holds the faces with d+1 vertices, sorted by mask value),
+    which a cone sorts, and a simplex lists, only when they are read.
+    ``dim`` and ``support_neighbourliness`` are read off the levels, and
+    the table of integral cohomology (``integral_groups``), with the
+    ``connectivity`` it fixes, is built on first use.
     ``boundary_matrix(d)`` maps degree d to degree d-1 with alternating
     signs along ascending vertex order; the boundary of a vertex is the
     empty face, which makes homology reduced.
     """
 
-    def __init__(self, complex):
-        self.complex = complex
-        self.lo = -1
-        self.hi = complex.dim
-        levels = face_levels(complex.faces)
-        self._faces = {k - 1: level for k, level in enumerate(levels)}
-        self._index = {d: {f: i for i, f in enumerate(masks)}
-                       for d, masks in self._faces.items()}
+    def __init__(self, masks):
+        self._index = {}
+        order = sorted(masks, key=int.bit_count, reverse=True)
+        self.support = reduce(or_, order)
+        if order[0] == self.support:
+            # a simplex, so a cone on each of its vertices, whose faces
+            # are all the subsets of its support
+            self.apex = self.support
+            return
+        faces, self.apex = _restricted_faces(order)
+        if self.apex:
+            self._cone_faces = faces
+        else:
+            # set here, these shadow the properties that read a cone's faces
+            self.levels = face_levels(faces)
+            self.support_neighbourliness = neighbourliness_from_counts(
+                [len(level) for level in self.levels])
+
+    @cached_property
+    def levels(self):
+        """A cone's faces by vertex count (``face_levels``), sorted only
+        when first read."""
+        faces = self.__dict__.pop("_cone_faces", None)
+        return face_levels(iter_submasks(self.apex) if faces is None else faces)
+
+    @cached_property
+    def support_neighbourliness(self):
+        return neighbourliness_from_counts([len(level) for level in self.levels])
+
+    @property
+    def dim(self):
+        return len(self.levels) - 2
 
     def faces(self, d):
-        return self._faces.get(d, [])
+        levels = self.levels
+        return levels[d + 1] if 0 <= d + 1 < len(levels) else []
 
     def face_index(self, d):
-        return self._index.get(d, {})
+        if d not in self._index:
+            self._index[d] = {f: i for i, f in enumerate(self.faces(d))}
+        return self._index[d]
 
     def boundary_matrix(self, d):
         """The map C_d -> C_{d-1} as an integer matrix."""
@@ -147,7 +193,47 @@ class ChainComplex:
 
     def differential_squares_to_zero(self):
         return all((self.boundary_matrix(d) @ self.boundary_matrix(d + 1)).is_zero
-                   for d in range(self.lo, self.hi + 1))
+                   for d in range(-1, self.dim + 1))
+
+    def cohomology(self, coeffs):
+        """H̃^d(K) over ``coeffs`` for every d in
+        ``homology_degree_window``: outside it H̃^d vanishes."""
+        return _reduced_groups(self.levels, coeffs,
+                               homology_degree_window(self), cohomology=True)
+
+    @cached_property
+    def integral_groups(self):
+        """``cohomology("Z")``, ascending in d."""
+        return self.cohomology("Z")
+
+    @property
+    def connectivity(self):
+        """The largest h with H̃_i(K; Z) = 0 for every i ≤ h (∞ for a cone
+        or an acyclic complex), by universal coefficients: H̃^e is the free
+        part of H̃_e plus the torsion of H̃_{e-1}, so at the first e with
+        H̃^e ≠ 0, h = e - 2 if H̃^e has torsion and e - 1 if not."""
+        if self.apex:
+            return math.inf
+        for d, group in self.integral_groups.items():
+            if not group.is_zero:
+                return d - (2 if group.torsion else 1)
+        return math.inf
+
+
+def _restricted_faces(order):
+    """The faces of the complex whose facets lie among the masks
+    ``order``, listed largest first, and the vertices its facets share.
+
+    A mask already seen is skipped: it lies in a larger one.  So the
+    masks met unseen are exactly the facets, with no antichain pruning,
+    and a nonzero intersection of them is the apex set of a cone.
+    """
+    faces, apex = set(), -1
+    for f in order:
+        if f not in faces:
+            apex &= f
+            faces.update(iter_submasks(f))
+    return faces, apex
 
 
 def _spanning_forest_size(edges):
@@ -180,8 +266,8 @@ def _reduced_groups(levels, coeffs, degree_range, cohomology):
     ∂_lo .. ∂_{hi+1}.
 
     This is the one routine from faces to groups: ``reduced_homology``
-    and ``reduced_cohomology`` pass a complex's faces, and the Hochster
-    scan the faces it enumerates for each subset.  A boundary matrix is
+    and ``reduced_cohomology`` pass a complex's faces, and
+    ``ChainComplex.cohomology`` its levels.  A boundary matrix is
     built only for a ∂_d with d ≥ 2 and faces on both sides; a ∂_d with
     no source or no target faces has rank 0.
 
@@ -202,13 +288,14 @@ def _reduced_groups(levels, coeffs, degree_range, cohomology):
     of degree d is the transpose of ∂_{d+1}, so torsion of H̃^d is that of
     coker ∂_d (transposition preserves rank and invariant factors).
 
-    A complex containing the full (m-1)-skeleton on its s-vertex support
-    shares the simplex's chain groups through degree m-1, so when the
-    range starts there the bottom boundary matrix is the full simplex
-    boundary, whose rank is C(s-1, m-1) over every coefficient ring with
-    free cokernel.  That known rank replaces the one large matrix in the
-    otherwise-sparse window of ``homology_degree_window``; m is read off
-    the face counts (``neighbourliness_from_counts``).
+    A complex whose s-vertex support has all C(s, lo+1) of its
+    (lo+1)-subsets as faces shares the simplex's chain groups through
+    degree lo, so when the range starts at lo the bottom boundary matrix
+    is the full simplex boundary, whose rank is C(s-1, lo) over every
+    coefficient ring with free cokernel.  That known rank replaces the one
+    large matrix in the otherwise-sparse window of
+    ``homology_degree_window``, which starts at m - 1 for a complex with
+    the full (m-1)-skeleton.
     """
     kind, p = parse_coefficients(coeffs)
     lo, hi = degree_range if degree_range else (-1, len(levels) - 2)
@@ -218,10 +305,10 @@ def _reduced_groups(levels, coeffs, degree_range, cohomology):
         return levels[d + 1] if 0 <= d + 1 < len(levels) else ()
 
     ranks, torsion = {}, {}
-    if lo >= 0:
-        counts = [len(level) for level in levels]
-        if lo == neighbourliness_from_counts(counts) - 1:
-            ranks[lo] = math.comb(counts[1] - 1, lo)
+    if 0 <= lo < len(levels) - 1:
+        s = len(levels[1])
+        if len(levels[lo + 1]) == math.comb(s, lo + 1):
+            ranks[lo] = math.comb(s - 1, lo)
             torsion[lo] = ()
     for d in range(lo, hi + 2):
         if d in ranks:
@@ -266,7 +353,8 @@ def reduced_cohomology(complex, coeffs="Z", degree_range=None):
 
 
 def homology_degree_window(complex):
-    """Degree range outside which reduced homology provably vanishes.
+    """Degree range outside which reduced homology provably vanishes, for
+    a complex or chain complex.
 
     A complex containing the full (m-1)-skeleton on its support has the
     chain groups of a simplex through degree m-1, so reduced homology
@@ -301,27 +389,29 @@ class CochainCalculator:
       the coordinates are those w_i, then those y_j, mod p, and c is a
       cocycle mod p exactly when w_i ≡ 0 at every other i < r.
 
-    ``over(coeffs)`` gives the calculator over other coefficients that
-    shares the chain complex, the coboundaries, the Smith forms and the
-    table of integral groups.  That table (``integral_group``) comes from
-    rank-only Smith forms, so ``generator_count`` tells how many
-    generators a degree has without building any transform.
-    Intended for small complexes.
+    The complex is given as in ``ChainComplex``: a complex's ``facets``,
+    or K's facets cut down to I for K_I.  ``over(coeffs)`` gives the
+    calculator over other coefficients that shares the chain complex, the
+    coboundaries and the Smith forms.  The chain complex's table of
+    integral groups (``integral_group``) comes from rank-only Smith
+    forms, so ``generator_count`` tells how many generators a degree has
+    without building any transform.  Intended for small complexes.
     """
 
-    def __init__(self, complex, coeffs="Z"):
-        self.complex = complex
+    __slots__ = ("chain", "coeffs", "kind", "p",
+                 "_coboundaries", "_forms", "_readings")
+
+    def __init__(self, masks, coeffs="Z"):
+        self.chain = ChainComplex(masks)
         self.coeffs = coeffs
         self.kind, self.p = parse_coefficients(coeffs)
-        self.chain = ChainComplex(complex)
         self._coboundaries = {}
         self._forms = {}
         self._readings = {}
-        self._integral = {}
 
     def over(self, coeffs):
         """This complex's calculator over ``coeffs``, sharing this one's
-        chain complex, coboundaries, Smith forms and integral groups."""
+        chain complex, coboundaries and Smith forms."""
         if coeffs == self.coeffs:
             return self
         other = copy.copy(self)
@@ -331,7 +421,7 @@ class CochainCalculator:
         return other
 
     def degrees(self):
-        return range(-1, self.complex.dim + 1)
+        return range(-1, self.chain.dim + 1)
 
     def faces(self, d):
         return self.chain.faces(d)
@@ -424,16 +514,9 @@ class CochainCalculator:
                 if orders[j] > 1]
 
     def integral_group(self, d):
-        """H̃^d(K; Z), read on first use for every degree at once from the
-        rank-only Smith forms of ``homology_degree_window``; zero outside
-        it."""
-        groups = self._integral
-        if not groups:
-            levels = [self.faces(k) for k in range(-1, self.complex.dim + 1)]
-            groups.update(_reduced_groups(
-                levels, "Z", homology_degree_window(self.complex),
-                cohomology=True))
-        return groups.get(d, _ZERO_GROUP)
+        """H̃^d(K; Z) from the chain complex's table; zero outside its
+        window."""
+        return self.chain.integral_groups.get(d, _ZERO_GROUP)
 
     def generator_count(self, d):
         """``len(self.orders(d))``, by universal coefficients from the
@@ -480,16 +563,6 @@ class CochainCalculator:
                      for c, m in zip(coords, reading["moduli"]))
 
 
-def check_subcomplex(sub, ambient):
-    """Raise unless every facet of ``sub`` is a face of ``ambient``."""
-    if sub.n != ambient.n:
-        raise ValueError("subcomplex comparison needs one ambient vertex set")
-    for f in sub.facets:
-        if not ambient.is_face(f):
-            raise ValueError(
-                f"{mask_vertices(f)} is not a face of the ambient complex")
-
-
 class GradedMap:
     """Zero tests of a map on cohomology, read off its ``matrix(d)`` over
     its ``degrees()``."""
@@ -512,29 +585,35 @@ class InducedMap(GradedMap):
     stores the matrix of that map against the canonical bases of the two
     CochainCalculators, with entries reduced modulo target orders.
     ``matrix(d)[i][j]`` is coordinate i of the image of M's generator j.
+    A face of L that is not one of M raises ``ValueError``.
     """
 
     def __init__(self, sub_calculator, ambient_calculator):
         if sub_calculator.coeffs != ambient_calculator.coeffs:
             raise ValueError("coefficient mismatch between calculators")
-        check_subcomplex(sub_calculator.complex, ambient_calculator.complex)
+        for d in sub_calculator.degrees():
+            ambient_index = ambient_calculator.face_index(d)
+            for f in sub_calculator.faces(d):
+                if f not in ambient_index:
+                    raise ValueError(f"{mask_vertices(f)} is not a face "
+                                     "of the ambient complex")
         self.sub = sub_calculator
         self.ambient = ambient_calculator
         self.coeffs = sub_calculator.coeffs
         self._matrices = {}
 
     def degrees(self):
-        top = max(self.sub.complex.dim, self.ambient.complex.dim)
+        top = max(self.sub.chain.dim, self.ambient.chain.dim)
         return range(-1, top + 1)
 
     def matrix(self, d):
         if d in self._matrices:
             return self._matrices[d]
-        target_orders = self.sub.orders(d) if d <= self.sub.complex.dim else ()
+        target_orders = self.sub.orders(d) if d <= self.sub.chain.dim else ()
         columns = []
-        if d <= self.ambient.complex.dim:
+        if d <= self.ambient.chain.dim:
             ambient_index = self.ambient.face_index(d)
-            sub_faces = self.sub.faces(d) if d <= self.sub.complex.dim else []
+            sub_faces = self.sub.faces(d)
             for gen in self.ambient.generators(d):
                 restricted = [gen[ambient_index[f]] for f in sub_faces]
                 columns.append(self.sub.class_coordinates(d, restricted)
@@ -545,7 +624,8 @@ class InducedMap(GradedMap):
 
 
 def hurewicz_applies(complex):
-    """True when the complex contains the full 2-skeleton on its support.
+    """True when the complex or chain complex contains the full
+    2-skeleton on its support.
 
     That forces simple connectivity, so the Hurewicz theorem promotes
     vanishing homology to vanishing homotopy.
@@ -554,7 +634,8 @@ def hurewicz_applies(complex):
 
 
 def connectivity_certificate(complex):
-    """Largest c with H̃_i(ZZ) = 0 for all i <= c, plus a provenance flag.
+    """Largest c with H̃_i(ZZ) = 0 for all i <= c, plus a provenance flag
+    (the differential oracle of ``ChainComplex.connectivity``).
 
     Cones are contractible, giving (inf, "topological") outright.
     Otherwise integral homology is scanned upward from the bottom of

@@ -1,12 +1,12 @@
-"""Pair certificates, the splitting decision procedure, cup products."""
+"""Pair certificates and the splitting decision procedure."""
 
-import itertools
 import json
 import math
 
 import pytest
 
 from momentangle import (
+    ChainComplex,
     CochainCalculator,
     CrossProductMap,
     HomologyGroup,
@@ -14,13 +14,11 @@ from momentangle import (
     IntMatrix,
     SimplicialComplex,
     boundary_simplex,
-    cup_product,
     cup_products_vanish,
     cycle_complex,
     field_rank,
     full_mask,
     full_skeleton,
-    hochster_decomposition,
     iota_pair,
     iter_disjoint_pairs,
     mask_vertices,
@@ -41,7 +39,6 @@ from momentangle.golod import (
     DEFAULT_BATTERY,
     MAX_PAIR_VERTICES,
     NullCertificate,
-    SummandClass,
     _certificate,
     _PairEngine,
 )
@@ -333,7 +330,7 @@ def _cup_products_vanish_by_maps(K, battery):
     for i, j in iter_disjoint_pairs(K.n):
         if min(i.bit_count(), j.bit_count()) <= K.neighbourliness:
             continue
-        if any(engine.restriction(m).is_cone for m in (i, j, i | j)):
+        if any(K.restriction(m).is_cone for m in (i, j, i | j)):
             continue
         maps = {c: engine.induced_map(i, j, c) for c in battery}
         failing = [c for c in battery if not maps[c].is_zero]
@@ -389,9 +386,10 @@ def _interleaved_join(left, right):
 
 def _join_map(engine, subset_i, subset_j, coeffs):
     """The induced map read off a calculator of the join itself."""
-    join = engine.restriction(subset_i).join(engine.restriction(subset_j))
+    K = engine.complex
+    join = K.restriction(subset_i).join(K.restriction(subset_j))
     return InducedMap(engine.calculator(subset_i | subset_j, coeffs),
-                      CochainCalculator(join, coeffs))
+                      CochainCalculator(join.facets, coeffs))
 
 
 def test_cross_product_maps_match_join_maps():
@@ -411,7 +409,7 @@ def test_cross_product_maps_match_join_maps():
     for K in corpus:
         engine = _PairEngine(K)
         for i, j in iter_disjoint_pairs(K.n):
-            if engine.restriction(i).is_cone or engine.restriction(j).is_cone:
+            if K.restriction(i).is_cone or K.restriction(j).is_cone:
                 continue
             for coeffs in DEFAULT_BATTERY:
                 got = engine.induced_map(i, j, coeffs)
@@ -490,62 +488,6 @@ def test_verdicts_invariant_under_relabeling():
         assert len(a.unknown_pairs) == len(b.unknown_pairs)
 
 
-def test_cup_product_on_four_cycle():
-    c4 = cycle_complex(4)
-    diag_i, diag_j = vertex_mask([1, 3]), vertex_mask([2, 4])
-    alpha = SummandClass(diag_i, 0, (1,))
-    beta = SummandClass(diag_j, 0, (1,))
-    product = cup_product(c4, "Q", alpha, beta)
-    assert product.subset_mask == vertex_mask([1, 2, 3, 4])
-    assert product.degree == 1
-    assert len(product.coords) == 1 and abs(product.coords[0]) == 1
-    # the product against a zero class vanishes
-    zero = SummandClass(diag_j, 0, (0,))
-    assert cup_product(c4, "Q", alpha, zero).is_zero
-    # overlapping supports multiply to zero by definition
-    overlap = SummandClass(vertex_mask([1, 2]), 0, (1,))
-    assert cup_product(c4, "Q", alpha, overlap).is_zero
-
-
-def test_cup_product_scaling_and_anticommutation():
-    c4 = cycle_complex(4)
-    diag_i, diag_j = vertex_mask([1, 3]), vertex_mask([2, 4])
-    alpha = SummandClass(diag_i, 0, (1,))
-    beta = SummandClass(diag_j, 0, (1,))
-    double = SummandClass(diag_i, 0, (2,))
-    p1 = cup_product(c4, "Q", alpha, beta)
-    p2 = cup_product(c4, "Q", double, beta)
-    assert tuple(2 * c for c in p1.coords) == p2.coords
-    # degree-0 classes here multiply to odd total degree: a*b = b*a
-    # up to the Künneth sign (-1)^{(p+1)(q+1)} = -1
-    p3 = cup_product(c4, "Q", beta, alpha)
-    assert tuple(-c for c in p1.coords) == p3.coords
-
-
-def test_cup_products_land_in_valid_classes():
-    """Products of random decomposition classes are always cocycles:
-    coordinate extraction in the target would raise otherwise."""
-    rng = seeded(52)
-    produced = 0
-    for _ in range(40):
-        K = random_antichain_complex(rng, rng.randint(2, 5))
-        summands = [s for s in hochster_decomposition(K, "Q")
-                    if s.subset_mask]
-        if len(summands) < 2:
-            continue
-        for s, t in itertools.islice(
-                itertools.combinations(summands, 2), 6):
-            deg_s, grp_s = s.shifted_groups[0]
-            deg_t, grp_t = t.shifted_groups[0]
-            a = SummandClass(s.subset_mask, deg_s - bin(s.subset_mask).count("1") - 1,
-                             tuple(rng.randint(-2, 2) for _ in range(grp_s.rank)))
-            b = SummandClass(t.subset_mask, deg_t - bin(t.subset_mask).count("1") - 1,
-                             tuple(rng.randint(-2, 2) for _ in range(grp_t.rank)))
-            cup_product(K, "Q", a, b)
-            produced += 1
-    assert produced > 30
-
-
 def test_products_vanish_on_certified_splitting_complexes():
     for K in (single_non_face(6, 3), boundary_simplex(3), full_skeleton(5, 1)):
         verdict = splitting_verdict(K)
@@ -590,7 +532,7 @@ def test_tor_columns_match_the_join():
                    for m in (i, j))
         assert got.degrees() == want.degrees()
         for d in got.degrees():
-            orders = got.target.orders(d) if d <= got.target.complex.dim else ()
+            orders = got.target.orders(d) if d <= got.target.chain.dim else ()
             mine = list(zip(*got.matrix(d)))
             theirs = list(zip(*want.matrix(d)))
             assert _lattice(mine, orders) == _lattice(theirs, orders) \
@@ -604,13 +546,13 @@ def test_verdicts_without_the_hurewicz_flag_compute_no_connectivity(monkeypatch)
     # connectivity only feeds DimBelowConnectivity, which needs the full
     # 2-skeleton on both sides: a cycle or a 1-skeleton never has it
     calls = []
-    certificate = golod.connectivity_certificate
+    connectivity = ChainComplex.connectivity.fget
 
-    def recording(complex):
-        calls.append(complex)
-        return certificate(complex)
+    def recording(chain):
+        calls.append(chain)
+        return connectivity(chain)
 
-    monkeypatch.setattr(golod, "connectivity_certificate", recording)
+    monkeypatch.setattr(ChainComplex, "connectivity", property(recording))
     for K in (cycle_complex(5), cycle_complex(6), full_skeleton(6, 1)):
         splitting_verdict(K)
         pair_certificates(K)
@@ -632,7 +574,7 @@ def _uct_complexes():
 def test_generator_counts_follow_universal_coefficients():
     torsion = 0
     for K in _uct_complexes():
-        calc = CochainCalculator(K, "Z")
+        calc = CochainCalculator(K.facets, "Z")
         for coeffs in ("Z", "Q", "F2", "F3", "F5"):
             other = calc.over(coeffs)
             for d in calc.degrees():

@@ -33,7 +33,7 @@ from momentangle import (
     vertex_mask,
 )
 from momentangle.complexes import neighbourliness_from_counts
-from momentangle.hochster import _restricted_faces
+from momentangle.homology import _restricted_faces
 from momentangle.homology import face_levels
 
 from util import (
@@ -128,7 +128,8 @@ def test_faces_read_off_the_facets_are_the_restrictions(drawn):
     K = SimplicialComplex(n, facets)
     for mask in range(0, full_mask(n) + 1, 2):
         sub = K.restriction(mask)
-        faces, apex = _restricted_faces({f & mask for f in K.facets})
+        faces, apex = _restricted_faces(sorted(
+            {f & mask for f in K.facets}, key=int.bit_count, reverse=True))
         counts = [len(level) for level in face_levels(faces)]
         assert faces == sub.faces
         assert (apex != 0) == sub.is_cone

@@ -153,8 +153,8 @@ def test_elimination_keeps_occupancy_at_every_step(matrix):
                          max_size=5))))
 def test_boundary_matrices_keep_occupancy(drawn):
     n, facets = drawn
-    chain = ChainComplex(SimplicialComplex(n, facets))
-    for d in range(chain.lo, chain.hi + 2):
+    chain = ChainComplex(SimplicialComplex(n, facets).facets)
+    for d in range(-1, chain.dim + 2):
         boundary = chain.boundary_matrix(d)
         assert_occupancy(boundary)
         if d == -1:

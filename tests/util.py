@@ -23,6 +23,8 @@ from momentangle.hochster import _removable_vertex, wedge_model
 from momentangle.homology import (
     HomologyGroup,
     _boundary_matrix,
+    connectivity_certificate,
+    face_levels,
     homology_degree_window,
     parse_coefficients,
 )
@@ -296,6 +298,27 @@ def fraction_gauge_radius(low_mask, high_mask, offset):
 # oracles for the pair engine's shortcuts
 
 
+def record_by_restriction(complex, mask):
+    """What the pair engine reads of K_I, I = ``mask``, by building the
+    restriction: ``complex.restriction(mask)`` prunes the cut facets to an
+    antichain, and its apex set (the meet of its facets), dimension,
+    support, support neighbourliness and face levels are its own.  The
+    integral groups are its ``reduced_cohomology`` over
+    ``homology_degree_window``, and the connectivity is
+    ``connectivity_certificate``, from homology."""
+    sub = complex.restriction(mask)
+    apex = sub.facets[0]
+    for f in sub.facets:
+        apex &= f
+    return {"restriction": sub, "apex": apex, "dim": sub.dim,
+            "support": sub.support,
+            "support_neighbourliness": sub.support_neighbourliness,
+            "levels": face_levels(sub.faces),
+            "integral_groups": reduced_cohomology(
+                sub, "Z", homology_degree_window(sub)),
+            "connectivity": connectivity_certificate(sub)[0]}
+
+
 def cross_product_matrix_by_cochains(pair_map, d):
     """``CrossProductMap.matrix(d)`` with no generator-count shortcut.
 
@@ -305,10 +328,10 @@ def cross_product_matrix_by_cochains(pair_map, d):
     """
     target = pair_map.target
     calc_i, calc_j = pair_map.calc_i, pair_map.calc_j
-    target_orders = target.orders(d) if d <= target.complex.dim else ()
+    target_orders = target.orders(d) if d <= target.chain.dim else ()
     cochains = []
     if target_orders:
-        dim_i, dim_j = calc_i.complex.dim, calc_j.complex.dim
+        dim_i, dim_j = calc_i.chain.dim, calc_j.chain.dim
         for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
             cochains += pair_map._cross(d, p, calc_i.generators(p),
                                         calc_j.generators(d - 1 - p))
