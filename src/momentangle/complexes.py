@@ -98,10 +98,13 @@ class SimplicialComplex:
                 raise ValueError(
                     f"face {mask_vertices(f)} has vertices outside 1..{n}")
         # a strict superset is strictly larger, so in order of decreasing
-        # size each face need only be tested against the facets kept so far
-        facets = []
+        # size each face need only be tested against the facets kept at
+        # larger sizes (``larger``), never against those of its own size
+        facets, larger, size = [], (), None
         for f in sorted(faces, key=int.bit_count, reverse=True):
-            if not any(f & ~g == 0 for g in facets):
+            if f.bit_count() != size:
+                size, larger = f.bit_count(), tuple(facets)
+            if not any(f & ~g == 0 for g in larger):
                 facets.append(f)
         self.n = n
         self.facets = tuple(sorted(facets))

@@ -15,10 +15,11 @@ products of the factors' classes and, over ZZ, by one class per pair of
 torsion classes whose orders share a prime (the Tor summand), so each
 pair map is read off the cached calculators of I, J and I ∪ J
 (``CrossProductMap``).  A mask's calculator is built from K's facets cut
-down to it, as the Hochster scan reads its cores, and its chain complex
-(``homology.ChainComplex``) is the one per-mask record: the cone tests,
-the dimension and the Hurewicz test read it, and so does the
-connectivity, off its table of integral groups.  That table also gives,
+down to it, as the Hochster scan reads its cores, and is the one
+per-mask record: a ``homology.ChainComplex`` whose cone tests, dimension
+and Hurewicz test the certificates read, and whose connectivity comes
+off its table of integral groups.  It serves every coefficient system,
+and the engine keeps no pair map past its pair.  The table also gives,
 by universal coefficients, how many generators a degree has over each
 coefficient system, so a degree where the target or the join has no
 classes is settled without a Smith transform.
@@ -233,20 +234,20 @@ class CrossProductMap(GradedMap):
 
     Column k of ``matrix(d)`` is the class in H̃^d(K_{I∪J}) of the k-th
     of these cochains restricted, f ↦ sign(f∩I, f∩J)·u(f∩I)·v(f∩J), with
-    entries reduced modulo the target's orders as in ``InducedMap``.  The
-    columns generate the image, so zero tests and ``nonzero_degrees`` are
-    exact over every coefficient system.
+    entries reduced modulo the target's orders over ``coeffs`` as in
+    ``InducedMap``.  The columns generate the image, so zero tests and
+    ``nonzero_degrees`` are exact over every coefficient system.
     """
 
-    def __init__(self, calc_i, calc_j, target):
+    def __init__(self, calc_i, calc_j, target, coeffs):
         self.calc_i = calc_i
         self.calc_j = calc_j
         self.target = target
+        self.coeffs = coeffs
         self._matrices = {}
 
     def degrees(self):
-        top = max(self.target.chain.dim,
-                  self.calc_i.chain.dim + self.calc_j.chain.dim + 1)
+        top = max(self.target.dim, self.calc_i.dim + self.calc_j.dim + 1)
         return range(-1, top + 1)
 
     def matrix(self, d):
@@ -255,7 +256,7 @@ class CrossProductMap(GradedMap):
         # the generator counts come from the calculators' integral tables,
         # so a degree with no target or no source classes needs no
         # transform: it is no rows, or one empty row per target generator
-        size = self.target.generator_count(d)
+        size = self.target.generator_count(d, self.coeffs)
         if not size:
             rows = []
         elif not self._has_source_classes(d):
@@ -269,11 +270,12 @@ class CrossProductMap(GradedMap):
         """Whether the join has a class in degree d: a cross product of
         generators in degrees p and d - 1 - p, or over ``Z`` a Tor class
         of torsion orders in degrees p and d - p that share a prime."""
-        calc_i, calc_j = self.calc_i, self.calc_j
-        if any(calc_i.generator_count(p) and calc_j.generator_count(d - 1 - p)
+        calc_i, calc_j, coeffs = self.calc_i, self.calc_j, self.coeffs
+        if any(calc_i.generator_count(p, coeffs)
+               and calc_j.generator_count(d - 1 - p, coeffs)
                for p in range(-1, d + 1)):
             return True
-        return calc_i.kind == "Z" and any(
+        return coeffs == "Z" and any(
             math.gcd(e, f) > 1
             for p in range(d + 1)
             for e in calc_i.integral_group(p).torsion
@@ -282,17 +284,17 @@ class CrossProductMap(GradedMap):
     def _rows(self, d):
         """The matrix in degree d from the class coordinates of every
         cross product and Tor cochain."""
-        target = self.target
-        dim_i, dim_j = self.calc_i.chain.dim, self.calc_j.chain.dim
+        target, coeffs = self.target, self.coeffs
+        calc_i, calc_j = self.calc_i, self.calc_j
         cochains = []
-        for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
-            cochains += self._cross(d, p, self.calc_i.generators(p),
-                                    self.calc_j.generators(d - 1 - p))
-        for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
+        for p in range(max(-1, d - 1 - calc_j.dim), min(calc_i.dim, d) + 1):
+            cochains += self._cross(d, p, calc_i.generators(p, coeffs),
+                                    calc_j.generators(d - 1 - p, coeffs))
+        for p in range(max(0, d - calc_j.dim), min(calc_i.dim, d) + 1):
             cochains += self._tor_cochains(d, p)
-        columns = [target.class_coordinates(d, c) for c in cochains]
+        columns = [target.class_coordinates(d, c, coeffs) for c in cochains]
         return [[col[i] for col in columns]
-                for i in range(len(target.orders(d)))]
+                for i in range(len(target.orders(d, coeffs)))]
 
     def _cross(self, d, p, lefts, rights):
         """Restricted u × v for u in ``lefts`` (p-cochains of K_I) and v in
@@ -300,12 +302,15 @@ class CrossProductMap(GradedMap):
         if not (lefts and rights):
             return []
         return _cross_product_cochains(
-            self.target.faces(d), self.calc_i.chain.support,
+            self.target.faces(d), self.calc_i.support,
             self.calc_i.face_index(p), lefts,
             self.calc_j.face_index(d - 1 - p), rights)
 
     def _tor_cochains(self, d, p):
-        """The Tor cocycles of degree d from H̃^p(K_I) and H̃^{d-p}(K_J)."""
+        """The Tor cocycles of degree d from H̃^p(K_I) and H̃^{d-p}(K_J);
+        none over a field."""
+        if self.coeffs != "Z":
+            return []
         tors_i = self.calc_i.torsion_primitives(p)
         tors_j = self.calc_j.torsion_primitives(d - p)
         orders = [(e, f) for _, e, _ in tors_i for _, f, _ in tors_j]
@@ -326,41 +331,38 @@ class CrossProductMap(GradedMap):
 
 
 class _PairEngine:
-    """Per-run caches for calculators and induced maps, plus the one pair
+    """A per-run cache of calculators, one per mask, plus the one pair
     walk and the one pair-report builder."""
 
     def __init__(self, complex):
         self.complex = complex
         self._calculators = {}
-        self._induced = {}
+        self._pair = None
+        self._maps = {}
 
-    def calculator(self, mask, coeffs="Z"):
+    def calculator(self, mask):
         """Cochain calculator of K_I for I = ``mask``, read off K's facets
-        cut down to I: one integral calculator per mask, read over
-        ``coeffs``."""
-        key = (mask, coeffs)
-        if key not in self._calculators:
-            if (mask, "Z") not in self._calculators:
-                self._calculators[mask, "Z"] = CochainCalculator(
-                    {f & mask for f in self.complex.facets}, "Z")
-            self._calculators[key] = self._calculators[mask, "Z"].over(coeffs)
-        return self._calculators[key]
-
-    def chain(self, mask):
-        """The chain complex of K_I for I = ``mask``: its cone test,
-        dimension, neighbourliness and connectivity."""
-        return self.calculator(mask).chain
+        cut down to I: its cone test, dimension, neighbourliness and
+        connectivity, and its cohomology over every coefficient system."""
+        if mask not in self._calculators:
+            self._calculators[mask] = CochainCalculator(
+                {f & mask for f in self.complex.facets})
+        return self._calculators[mask]
 
     def induced_map(self, subset_i, subset_j, coeffs):
         """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J, read from
-        the cached calculators of I, J and I ∪ J as a ``CrossProductMap``."""
-        key = (subset_i, subset_j, coeffs)
-        if key not in self._induced:
-            self._induced[key] = CrossProductMap(
-                self.calculator(subset_i, coeffs),
-                self.calculator(subset_j, coeffs),
-                self.calculator(subset_i | subset_j, coeffs))
-        return self._induced[key]
+        the cached calculators of I, J and I ∪ J as a ``CrossProductMap``.
+
+        Only the maps of the last pair asked for are kept: a pair's report
+        follows its certificate, and reads the maps the certificate built.
+        """
+        if self._pair != (subset_i, subset_j):
+            self._pair, self._maps = (subset_i, subset_j), {}
+        if coeffs not in self._maps:
+            self._maps[coeffs] = CrossProductMap(
+                self.calculator(subset_i), self.calculator(subset_j),
+                self.calculator(subset_i | subset_j), coeffs)
+        return self._maps[coeffs]
 
     def certificates(self, battery):
         """Stream ``(subset_i, subset_j, NullCertificate)`` over the pairs
@@ -407,10 +409,10 @@ def _validate_pair(complex, subset_i, subset_j):
 
 def _certificate(engine, subset_i, subset_j, battery=DEFAULT_BATTERY):
     """Certificate cascade for one pair, cheapest arguments first."""
-    side_i, side_j = engine.chain(subset_i), engine.chain(subset_j)
+    side_i, side_j = engine.calculator(subset_i), engine.calculator(subset_j)
     if side_i.apex or side_j.apex:
         return NullCertificate("Null", reason="TargetContractible")
-    union = engine.chain(subset_i | subset_j)
+    union = engine.calculator(subset_i | subset_j)
     if union.apex:
         return NullCertificate("Null", reason="SourceContractible")
     # neither side is a cone, so its connectivity is topological exactly

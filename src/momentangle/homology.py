@@ -4,8 +4,9 @@ The chain complex always includes the empty face in degree -1, so every
 computation here is reduced: the complex {∅} has H̃_{-1} = k and a complex
 with a vertex has H̃_{-1} = 0, with no special-casing anywhere.
 
-Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p (e.g.
-"F2").  Integer results carry torsion; field results are plain ranks.
+Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p in
+ASCII digits with no leading zero (e.g. "F2"), one label per field.
+Integer results carry torsion; field results are plain ranks.
 The cohomology side also provides canonical bases, so maps induced by
 subcomplex inclusions become honest matrices that compose correctly.
 Every coefficient system reads its basis off one integral presentation,
@@ -14,6 +15,10 @@ the Smith forms of the coboundaries (``CochainCalculator``).
 ``ChainComplex`` is the one per-mask record: built from K's facets cut
 down to I, it holds the faces of K_I, its cone apex, dimension, support
 neighbourliness and table of integral cohomology, with no K_I built.
+``CochainCalculator`` is a ``ChainComplex`` that also keeps the
+coboundaries and their Smith forms; each of its readings takes the
+coefficients as an argument, so one calculator per mask serves every
+coefficient system.
 
 ``InducedMap`` reads such a map off the calculators of both complexes.
 The pair maps into a join K_I * K_J never need the join's calculator: by
@@ -24,9 +29,8 @@ products and Tor classes (``golod.CrossProductMap``), and over ``Z``
 
 from __future__ import annotations
 
-import copy
 import math
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import or_
 
 from momentangle.complexes import (
@@ -40,19 +44,24 @@ from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
 from momentangle.linalg import field_echelon, field_nullspace, field_solve  # noqa: F401
 
 
+@cache
 def parse_coefficients(label):
-    """Split a coefficient label into ('Z'|'Q'|'F', p or None)."""
+    """Split a coefficient label into ('Z'|'Q'|'F', p or None).
+
+    Each field has one label, so the cache holds one entry per field
+    read; the calculators parse their coefficients on every reading.
+    """
     if label == "Z":
         return "Z", None
     if label == "Q":
         return "Q", None
     if isinstance(label, str) and label.startswith("F"):
-        try:
-            p = int(label[1:])
-        except ValueError:
-            p = 0
-        if p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1)):
-            return "F", p
+        # ASCII digits with no leading zero, so that one field has one label
+        digits = label[1:]
+        if digits.isascii() and digits.isdigit() and digits[0] != "0":
+            p = int(digits)
+            if p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1)):
+                return "F", p
     raise ValueError(f"unknown coefficient field {label!r}; "
                      "use 'Z', 'Q', or 'Fp' with p prime")
 
@@ -190,10 +199,6 @@ class ChainComplex:
     def boundary_matrix(self, d):
         """The map C_d -> C_{d-1} as an integer matrix."""
         return _boundary_matrix(self.faces(d), self.face_index(d - 1))
-
-    def differential_squares_to_zero(self):
-        return all((self.boundary_matrix(d) @ self.boundary_matrix(d + 1)).is_zero
-                   for d in range(-1, self.dim + 1))
 
     def cohomology(self, coeffs):
         """H̃^d(K) over ``coeffs`` for every d in
@@ -365,14 +370,16 @@ def homology_degree_window(complex):
     return max(m - 1, -1), complex.dim
 
 
-class CochainCalculator:
-    """Canonical bases for the reduced cohomology of one complex.
+class CochainCalculator(ChainComplex):
+    """A chain complex with canonical bases for its reduced cohomology
+    over any coefficients.
 
-    For each degree the cohomology group is presented by an ordered list
-    of generators with ``orders`` (0 for a free generator, e > 1 for a
-    torsion generator of order e), and any cocycle can be expressed in
-    class coordinates against that basis — reduced modulo the orders, so
-    two cocycles are cohomologous exactly when their coordinates agree.
+    Each reading takes the coefficients as an argument.  For each degree
+    the cohomology group is presented by an ordered list of generators
+    with ``orders`` (0 for a free generator, e > 1 for a torsion
+    generator of order e), and any cocycle can be expressed in class
+    coordinates against that basis — reduced modulo the orders, so two
+    cocycles are cohomologous exactly when their coordinates agree.
 
     Every coefficient system is read off one integral presentation, two
     Smith forms per degree d: ``out``, that of δ_d (rank r, factors d_i,
@@ -390,48 +397,27 @@ class CochainCalculator:
       cocycle mod p exactly when w_i ≡ 0 at every other i < r.
 
     The complex is given as in ``ChainComplex``: a complex's ``facets``,
-    or K's facets cut down to I for K_I.  ``over(coeffs)`` gives the
-    calculator over other coefficients that shares the chain complex, the
-    coboundaries and the Smith forms.  The chain complex's table of
-    integral groups (``integral_group``) comes from rank-only Smith
-    forms, so ``generator_count`` tells how many generators a degree has
-    without building any transform.  Intended for small complexes.
+    or K's facets cut down to I for K_I.  One calculator holds the faces,
+    the coboundaries and their Smith forms, and serves every coefficient
+    system; its readings are cached by degree and coefficients.  The
+    table of integral groups (``integral_group``) comes from rank-only
+    Smith forms, so ``generator_count`` tells how many generators a
+    degree has without building any transform.  Intended for small
+    complexes.
     """
 
-    __slots__ = ("chain", "coeffs", "kind", "p",
-                 "_coboundaries", "_forms", "_readings")
-
-    def __init__(self, masks, coeffs="Z"):
-        self.chain = ChainComplex(masks)
-        self.coeffs = coeffs
-        self.kind, self.p = parse_coefficients(coeffs)
+    def __init__(self, masks):
+        super().__init__(masks)
         self._coboundaries = {}
         self._forms = {}
         self._readings = {}
 
-    def over(self, coeffs):
-        """This complex's calculator over ``coeffs``, sharing this one's
-        chain complex, coboundaries and Smith forms."""
-        if coeffs == self.coeffs:
-            return self
-        other = copy.copy(self)
-        other.coeffs = coeffs
-        other.kind, other.p = parse_coefficients(coeffs)
-        other._readings = {}
-        return other
-
     def degrees(self):
-        return range(-1, self.chain.dim + 1)
-
-    def faces(self, d):
-        return self.chain.faces(d)
-
-    def face_index(self, d):
-        return self.chain.face_index(d)
+        return range(-1, self.dim + 1)
 
     def coboundary_matrix(self, d):
         if d not in self._coboundaries:
-            self._coboundaries[d] = self.chain.boundary_matrix(d + 1).transpose()
+            self._coboundaries[d] = self.boundary_matrix(d + 1).transpose()
         return self._coboundaries[d]
 
     # -- presentation ---------------------------------------------------
@@ -461,14 +447,16 @@ class CochainCalculator:
         self._forms[d] = out, rel, orders
         return self._forms[d]
 
-    def _reading(self, d):
+    def _reading(self, d, coeffs):
         """Which w and y coordinates make up the group over ``coeffs``:
         the w_i that a cocycle has at 0, the Tor w_i, the kept y_j, the
         generators, their orders and the modulus of each coordinate."""
-        if d in self._readings:
-            return self._readings[d]
+        key = d, coeffs
+        if key in self._readings:
+            return self._readings[key]
+        kind, p = parse_coefficients(coeffs)
         out, rel, orders = self._form(d)
-        r, p = out.rank, self.p
+        r = out.rank
         if p:
             vanish = [i for i, f in enumerate(out.diagonal) if f % p]
             tor = [i for i, f in enumerate(out.diagonal) if f % p == 0]
@@ -476,7 +464,7 @@ class CochainCalculator:
         else:
             vanish, tor = range(r), []
             kept = [j for j, e in enumerate(orders)
-                    if (e == 0 if self.kind == "Q" else e != 1)]
+                    if (e == 0 if kind == "Q" else e != 1)]
         generators = ([out.V.column(i) for i in tor]
                       + [out.V.apply([0] * r + rel.U_inv.column(j))
                          for j in kept])
@@ -486,16 +474,16 @@ class CochainCalculator:
             moduli = [p] * len(generators)
         else:
             group_orders = moduli = tuple(orders[j] for j in kept)
-        self._readings[d] = {"vanish": vanish, "tor": tor, "kept": kept,
-                             "generators": generators,
-                             "orders": group_orders, "moduli": moduli}
-        return self._readings[d]
+        self._readings[key] = {"vanish": vanish, "tor": tor, "kept": kept,
+                               "generators": generators,
+                               "orders": group_orders, "moduli": moduli}
+        return self._readings[key]
 
-    def orders(self, d):
-        return self._reading(d)["orders"]
+    def orders(self, d, coeffs):
+        return self._reading(d, coeffs)["orders"]
 
-    def generators(self, d):
-        return self._reading(d)["generators"]
+    def generators(self, d, coeffs):
+        return self._reading(d, coeffs)["generators"]
 
     def torsion_primitives(self, d):
         """``(α, e, a)`` for each torsion generator α of H̃^d over ``Z``:
@@ -503,56 +491,50 @@ class CochainCalculator:
 
         a is column j of ``rel``'s transform V: ``out``'s V⁻¹δ_{d-1} has no
         rows above r, and ``rel`` diagonalises rows r.., so δ_{d-1} sends
-        that column to e_j times generator j.  Empty over a field.
+        that column to e_j times generator j.
         """
-        if self.kind != "Z":
-            return []
         _, rel, orders = self._form(d)
-        reading = self._reading(d)
+        reading = self._reading(d, "Z")
         return [(alpha, orders[j], rel.V.column(j))
                 for j, alpha in zip(reading["kept"], reading["generators"])
                 if orders[j] > 1]
 
     def integral_group(self, d):
-        """H̃^d(K; Z) from the chain complex's table; zero outside its
+        """H̃^d(K; Z) from the table of integral groups; zero outside its
         window."""
-        return self.chain.integral_groups.get(d, _ZERO_GROUP)
+        return self.integral_groups.get(d, _ZERO_GROUP)
 
-    def generator_count(self, d):
-        """``len(self.orders(d))``, by universal coefficients from the
-        integral groups: over ``Z`` the rank plus the torsion factors,
+    def generator_count(self, d, coeffs):
+        """``len(self.orders(d, coeffs))``, by universal coefficients from
+        the integral groups: over ``Z`` the rank plus the torsion factors,
         over ``Q`` the rank, and over ``F_p`` the rank plus the factors
         divisible by p of H̃^d and of H̃^{d+1} (the Tor part)."""
         group = self.integral_group(d)
-        if self.kind == "Z":
+        kind, p = parse_coefficients(coeffs)
+        if kind == "Z":
             return group.rank + len(group.torsion)
-        if self.kind == "Q":
+        if kind == "Q":
             return group.rank
         return group.rank + sum(
             1 for e in group.torsion + self.integral_group(d + 1).torsion
-            if e % self.p == 0)
+            if e % p == 0)
 
-    def group(self, d):
-        orders = self.orders(d)
+    def group(self, d, coeffs):
+        orders = self.orders(d, coeffs)
         return HomologyGroup(sum(1 for e in orders if e == 0),
                              [e for e in orders if e > 1])
 
-    def is_cocycle(self, d, vector):
-        image = self.coboundary_matrix(d).apply(vector)
-        if self.p:
-            return all(v % self.p == 0 for v in image)
-        return not any(image)
-
-    def class_coordinates(self, d, vector):
-        """Coordinates of a cocycle's class against the canonical basis.
+    def class_coordinates(self, d, vector, coeffs):
+        """Coordinates over ``coeffs`` of a cocycle's class against the
+        canonical basis.
 
         Torsion coordinates are reduced into [0, order), and coordinates
         over ``F_p`` into [0, p); a class is zero exactly when all
         coordinates are zero.
         """
         out, rel, _ = self._form(d)
-        reading = self._reading(d)
-        p = self.p
+        reading = self._reading(d, coeffs)
+        p = parse_coefficients(coeffs)[1]
         w = out.V_inv.apply(vector)
         if any(w[i] % p if p else w[i] for i in reading["vanish"]):
             raise ValueError("vector is not a cocycle")
@@ -582,15 +564,13 @@ class InducedMap(GradedMap):
     """Cohomology map induced by a subcomplex inclusion L ⊆ M.
 
     Cochain restriction induces H^d(M) -> H^d(L) in every degree; this
-    stores the matrix of that map against the canonical bases of the two
-    CochainCalculators, with entries reduced modulo target orders.
-    ``matrix(d)[i][j]`` is coordinate i of the image of M's generator j.
-    A face of L that is not one of M raises ``ValueError``.
+    stores the matrix of that map over ``coeffs`` against the canonical
+    bases of the two calculators, with entries reduced modulo target
+    orders.  ``matrix(d)[i][j]`` is coordinate i of the image of M's
+    generator j.  A face of L that is not one of M raises ``ValueError``.
     """
 
-    def __init__(self, sub_calculator, ambient_calculator):
-        if sub_calculator.coeffs != ambient_calculator.coeffs:
-            raise ValueError("coefficient mismatch between calculators")
+    def __init__(self, sub_calculator, ambient_calculator, coeffs):
         for d in sub_calculator.degrees():
             ambient_index = ambient_calculator.face_index(d)
             for f in sub_calculator.faces(d):
@@ -599,24 +579,24 @@ class InducedMap(GradedMap):
                                      "of the ambient complex")
         self.sub = sub_calculator
         self.ambient = ambient_calculator
-        self.coeffs = sub_calculator.coeffs
+        self.coeffs = coeffs
         self._matrices = {}
 
     def degrees(self):
-        top = max(self.sub.chain.dim, self.ambient.chain.dim)
-        return range(-1, top + 1)
+        return range(-1, max(self.sub.dim, self.ambient.dim) + 1)
 
     def matrix(self, d):
         if d in self._matrices:
             return self._matrices[d]
-        target_orders = self.sub.orders(d) if d <= self.sub.chain.dim else ()
+        sub, coeffs = self.sub, self.coeffs
+        target_orders = sub.orders(d, coeffs) if d <= sub.dim else ()
         columns = []
-        if d <= self.ambient.chain.dim:
+        if d <= self.ambient.dim:
             ambient_index = self.ambient.face_index(d)
-            sub_faces = self.sub.faces(d)
-            for gen in self.ambient.generators(d):
+            sub_faces = sub.faces(d)
+            for gen in self.ambient.generators(d, coeffs):
                 restricted = [gen[ambient_index[f]] for f in sub_faces]
-                columns.append(self.sub.class_coordinates(d, restricted)
+                columns.append(sub.class_coordinates(d, restricted, coeffs)
                                if target_orders else ())
         rows = [[col[i] for col in columns] for i in range(len(target_orders))]
         self._matrices[d] = rows

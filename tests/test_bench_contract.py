@@ -42,3 +42,29 @@ def test_install_then_uninstall_restores_originals():
         tracer.uninstall()
     after = current(tracing.WRAPPED)
     assert all(a is b for a, b in zip(before, after))
+
+
+def test_traced_cli_runs_every_workload_command(capsys):
+    # the tracer swaps module attributes such as ``golod.CochainCalculator``
+    # for plain functions, so the package may only call them
+    from momentangle import cli
+
+    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
+    cycle4, rp2 = str(fixtures / "cycle4.json"), str(fixtures / "rp2.json")
+    commands = [["theorem", cycle4], ["theorem", rp2],
+                ["golod", cycle4], ["golod", rp2, "--coeffs", "F2,Z"],
+                ["hochster", rp2], ["hochster", cycle4, "--coeffs", "F2"],
+                ["cluster", "verify", "--n", "4", "--samples", "4"],
+                ["cluster", "verify", "--complex", cycle4, "--samples", "4"]]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands), capsys.readouterr().err
+    traced = {tracer.names[i] for i in tracer.span_name}
+    assert {"homology.cochain_calculator", "golod.splitting_verdict",
+            "hochster.hochster_decomposition",
+            "verify.split_region_report"} <= traced

@@ -365,6 +365,7 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "analyze", str(worse))[0] == 1
     # bad coefficient label, and the removed thread-count and tolerance flags
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "R")[0] == 1
+    assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "F02")[0] == 1
     assert run_cli(capsys, "hochster", CYCLE4, "--threads", "2")[0] == 1
     assert run_cli(capsys, "cluster", "verify", "--n", "4", "--samples", "2",
                    "--tol", "1/2")[0] == 1

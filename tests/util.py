@@ -187,6 +187,32 @@ def reduced_groups_by_matrices(levels, coeffs, degree_range, cohomology):
             for d in range(lo, hi + 1)}
 
 
+def prune_by_every_facet(faces):
+    """The facets of the complex whose faces are the submasks of
+    ``faces``, as ``SimplicialComplex`` stores them: each face, in order
+    of decreasing size, is tested against every facet kept so far, those
+    of its own size included."""
+    facets = []
+    for f in sorted(set(faces) or {0}, key=int.bit_count, reverse=True):
+        if not any(f & ~g == 0 for g in facets):
+            facets.append(f)
+    return tuple(sorted(facets))
+
+
+def differential_squares_to_zero(chain):
+    """Whether ∂_d ∘ ∂_{d+1} = 0 in every degree of a ``ChainComplex``."""
+    return all((chain.boundary_matrix(d) @ chain.boundary_matrix(d + 1)).is_zero
+               for d in range(-1, chain.dim + 1))
+
+
+def is_cocycle(calc, d, vector, coeffs):
+    """Whether the d-cochain ``vector`` of a ``CochainCalculator`` has
+    zero coboundary over ``coeffs``."""
+    p = parse_coefficients(coeffs)[1]
+    image = calc.coboundary_matrix(d).apply(vector)
+    return all(v % p == 0 for v in image) if p else not any(image)
+
+
 def brute_split_tags(y):
     """The tags of a cube point by testing every balanced split."""
     n = len(y) + 1
@@ -326,18 +352,18 @@ def cross_product_matrix_by_cochains(pair_map, d):
     Tor cochain is built and read off the target's Smith transforms, so
     a degree with no source classes costs the target's transforms too.
     """
-    target = pair_map.target
+    target, coeffs = pair_map.target, pair_map.coeffs
     calc_i, calc_j = pair_map.calc_i, pair_map.calc_j
-    target_orders = target.orders(d) if d <= target.chain.dim else ()
+    target_orders = target.orders(d, coeffs) if d <= target.dim else ()
     cochains = []
     if target_orders:
-        dim_i, dim_j = calc_i.chain.dim, calc_j.chain.dim
+        dim_i, dim_j = calc_i.dim, calc_j.dim
         for p in range(max(-1, d - 1 - dim_j), min(dim_i, d) + 1):
-            cochains += pair_map._cross(d, p, calc_i.generators(p),
-                                        calc_j.generators(d - 1 - p))
+            cochains += pair_map._cross(d, p, calc_i.generators(p, coeffs),
+                                        calc_j.generators(d - 1 - p, coeffs))
         for p in range(max(0, d - dim_j), min(dim_i, d) + 1):
             cochains += pair_map._tor_cochains(d, p)
-    columns = [target.class_coordinates(d, c) for c in cochains]
+    columns = [target.class_coordinates(d, c, coeffs) for c in cochains]
     return [[col[i] for col in columns] for i in range(len(target_orders))]
 
 
