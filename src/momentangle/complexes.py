@@ -18,6 +18,9 @@ import math
 from functools import cached_property
 
 MAX_VERTICES = 63
+# Most facets a generated skeleton may have: C(20, 10), so that every
+# skeleton on the 20 vertices a command reads at most still builds.
+MAX_SKELETON_FACETS = math.comb(20, 10)
 
 
 def vertex_mask(vertices):
@@ -78,6 +81,11 @@ def neighbourliness_from_counts(counts):
     return k
 
 
+def _check_vertex_count(n):
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be between 0 and {MAX_VERTICES}")
+
+
 class SimplicialComplex:
     """A simplicial complex on ambient vertex set {1, .., n}.
 
@@ -87,8 +95,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, n, maximal_faces=()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be between 0 and {MAX_VERTICES}")
+        _check_vertex_count(n)
         ambient = full_mask(n)
         faces = set(maximal_faces)
         if not faces:
@@ -111,8 +118,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_vertex_lists(cls, n, faces):
-        """Build from faces given as lists of 1-based vertex labels."""
-        return cls(n, (vertex_mask(f) for f in faces))
+        """Build from faces given as lists of 1-based vertex labels.
+
+        Each label is checked against 1..n before it is packed, so a huge
+        label is refused before ``1 << v`` allocates a huge mask.
+        """
+        _check_vertex_count(n)
+        masks = []
+        for face in map(tuple, faces):
+            if not all(1 <= v <= n for v in face):
+                raise ValueError(f"face {tuple(sorted(face))} has vertices "
+                                 f"outside 1..{n}")
+            masks.append(vertex_mask(face))
+        return cls(n, masks)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -361,6 +379,10 @@ def full_skeleton(n, k):
         raise ValueError("skeleton dimension below -1")
     if k >= n - 1:
         return simplex(n)
+    count = math.comb(n, k + 1)
+    if count > MAX_SKELETON_FACETS:
+        raise ValueError(f"the {k}-skeleton on {n} vertices has {count} "
+                         f"facets; at most {MAX_SKELETON_FACETS} are built")
     faces = (vertex_mask(c)
              for c in itertools.combinations(range(1, n + 1), k + 1))
     return SimplicialComplex(n, faces)

@@ -18,11 +18,15 @@ pair map is read off the cached calculators of I, J and I ∪ J
 down to it, as the Hochster scan reads its cores, and is the one
 per-mask record: a ``homology.ChainComplex`` whose cone tests, dimension
 and Hurewicz test the certificates read, and whose connectivity comes
-off its table of integral groups.  It serves every coefficient system,
-and the engine keeps no pair map past its pair.  The table also gives,
-by universal coefficients, how many generators a degree has over each
-coefficient system, so a degree where the target or the join has no
-classes is settled without a Smith transform.
+off its table of integral groups.  It serves every coefficient system.
+The engine keeps no pair map: a pair's report builds its maps again from
+the cached calculators.  The table also gives, by universal
+coefficients, how many generators a degree has over each coefficient
+system, and its torsion orders.  So a pair map decides each degree from
+the tables before any Smith transform: a target degree with no classes
+is no rows, and a factor degree builds its cross products only where
+both sides have classes, and over ZZ its Tor classes only where their
+torsion orders share a prime.
 
 A certificate stops at the first nonzero map, so a QQ check that
 follows a zero ZZ map in the battery is skipped: by the universal
@@ -251,50 +255,45 @@ class CrossProductMap(GradedMap):
         return range(-1, top + 1)
 
     def matrix(self, d):
-        if d in self._matrices:
-            return self._matrices[d]
-        # the generator counts come from the calculators' integral tables,
-        # so a degree with no target or no source classes needs no
-        # transform: it is no rows, or one empty row per target generator
-        size = self.target.generator_count(d, self.coeffs)
-        if not size:
-            rows = []
-        elif not self._has_source_classes(d):
-            rows = [[] for _ in range(size)]
-        else:
-            rows = self._rows(d)
-        self._matrices[d] = rows
+        rows = self._matrices.get(d)
+        if rows is None:
+            rows = self._matrices[d] = self._rows(d)
         return rows
 
-    def _has_source_classes(self, d):
-        """Whether the join has a class in degree d: a cross product of
-        generators in degrees p and d - 1 - p, or over ``Z`` a Tor class
-        of torsion orders in degrees p and d - p that share a prime."""
-        calc_i, calc_j, coeffs = self.calc_i, self.calc_j, self.coeffs
-        if any(calc_i.generator_count(p, coeffs)
-               and calc_j.generator_count(d - 1 - p, coeffs)
-               for p in range(-1, d + 1)):
-            return True
-        return coeffs == "Z" and any(
-            math.gcd(e, f) > 1
-            for p in range(d + 1)
-            for e in calc_i.integral_group(p).torsion
-            for f in calc_j.integral_group(d - p).torsion)
-
     def _rows(self, d):
-        """The matrix in degree d from the class coordinates of every
-        cross product and Tor cochain."""
+        """The matrix in degree d, decided first from the calculators'
+        integral tables: no rows when the target has no generators, and
+        one empty row per target generator when no cochain is built.
+
+        A factor degree p builds cross products only when both sides have
+        generators there, and over ``Z`` Tor cochains only when the two
+        sides' torsion orders share a prime, so no side's transforms are
+        built for a degree whose partner has no classes.  The built
+        cochains' class coordinates make up the columns.
+        """
         target, coeffs = self.target, self.coeffs
+        size = target.generator_count(d, coeffs)
+        if not size:
+            return []
         calc_i, calc_j = self.calc_i, self.calc_j
         cochains = []
-        for p in range(max(-1, d - 1 - calc_j.dim), min(calc_i.dim, d) + 1):
-            cochains += self._cross(d, p, calc_i.generators(p, coeffs),
-                                    calc_j.generators(d - 1 - p, coeffs))
-        for p in range(max(0, d - calc_j.dim), min(calc_i.dim, d) + 1):
-            cochains += self._tor_cochains(d, p)
+        for p in range(-1, d + 1):
+            q = d - 1 - p
+            if (calc_i.generator_count(p, coeffs)
+                    and calc_j.generator_count(q, coeffs)):
+                cochains += self._cross(d, p, calc_i.generators(p, coeffs),
+                                        calc_j.generators(q, coeffs))
+        if coeffs == "Z":
+            for p in range(d + 1):
+                torsion_i = calc_i.integral_group(p).torsion
+                if torsion_i and any(
+                        math.gcd(e, f) > 1 for e in torsion_i
+                        for f in calc_j.integral_group(d - p).torsion):
+                    cochains += self._tor_cochains(d, p)
+        if not cochains:
+            return [[] for _ in range(size)]
         columns = [target.class_coordinates(d, c, coeffs) for c in cochains]
-        return [[col[i] for col in columns]
-                for i in range(len(target.orders(d, coeffs)))]
+        return [[col[i] for col in columns] for i in range(size)]
 
     def _cross(self, d, p, lefts, rights):
         """Restricted u × v for u in ``lefts`` (p-cochains of K_I) and v in
@@ -314,8 +313,6 @@ class CrossProductMap(GradedMap):
         tors_i = self.calc_i.torsion_primitives(p)
         tors_j = self.calc_j.torsion_primitives(d - p)
         orders = [(e, f) for _, e, _ in tors_i for _, f, _ in tors_j]
-        if all(math.gcd(e, f) == 1 for e, f in orders):
-            return []
         a_beta = self._cross(d, p - 1, [a for _, _, a in tors_i],
                              [beta for beta, _, _ in tors_j])
         alpha_b = self._cross(d, p, [alpha for alpha, _, _ in tors_i],
@@ -337,8 +334,6 @@ class _PairEngine:
     def __init__(self, complex):
         self.complex = complex
         self._calculators = {}
-        self._pair = None
-        self._maps = {}
 
     def calculator(self, mask):
         """Cochain calculator of K_I for I = ``mask``, read off K's facets
@@ -351,18 +346,10 @@ class _PairEngine:
 
     def induced_map(self, subset_i, subset_j, coeffs):
         """The map on cohomology induced by K_{I∪J} ⊆ K_I * K_J, read from
-        the cached calculators of I, J and I ∪ J as a ``CrossProductMap``.
-
-        Only the maps of the last pair asked for are kept: a pair's report
-        follows its certificate, and reads the maps the certificate built.
-        """
-        if self._pair != (subset_i, subset_j):
-            self._pair, self._maps = (subset_i, subset_j), {}
-        if coeffs not in self._maps:
-            self._maps[coeffs] = CrossProductMap(
-                self.calculator(subset_i), self.calculator(subset_j),
-                self.calculator(subset_i | subset_j), coeffs)
-        return self._maps[coeffs]
+        the cached calculators of I, J and I ∪ J as a ``CrossProductMap``."""
+        return CrossProductMap(self.calculator(subset_i),
+                               self.calculator(subset_j),
+                               self.calculator(subset_i | subset_j), coeffs)
 
     def certificates(self, battery):
         """Stream ``(subset_i, subset_j, NullCertificate)`` over the pairs

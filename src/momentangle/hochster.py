@@ -107,13 +107,24 @@ class HochsterSummand:
 
     @property
     def is_spheres(self):
-        """Whether the groups are free, so that Σ^{|I|+1}|K_I| is modeled by
-        a wedge of spheres."""
-        return all(not g.torsion for _, g in self.shifted_groups)
+        """Whether Σ^{|I|+1}|K_I| is a wedge of spheres: its groups are
+        free and lie in at most two adjacent degrees.
+
+        The suspension is simply connected with free homology, so it has
+        one cell per generator (Hatcher, Prop. 4C.1).  With cells in
+        degrees c and c + 1 only (c ≥ 2), each (c + 1)-cell is attached by
+        a map S^c → ∨S^c, which its degrees fix and free homology makes
+        zero.  Free groups two or more degrees apart do not suffice: the
+        top cell of Σ^k CP^2 is attached by the Hopf map η.
+        """
+        degrees = [deg for deg, _ in self.shifted_groups]
+        return (all(not g.torsion for _, g in self.shifted_groups)
+                and (not degrees or max(degrees) - min(degrees) <= 1))
 
     @property
     def sphere_degrees(self):
-        """Ambient sphere dimensions with multiplicity, when free."""
+        """Ambient sphere dimensions with multiplicity, when a wedge of
+        spheres (``is_spheres``)."""
         if not self.is_spheres:
             return []
         out = []
@@ -245,8 +256,8 @@ class WedgeModel:
     """Candidate wedge decomposition: the Hochster summand Σ^{|I|+1}|K_I|
     of each contributing I ≠ ∅.
 
-    ``is_complete`` means every summand has free cohomology, so each is
-    modeled by a wedge of spheres and the whole model is one big wedge.
+    ``is_complete`` means every summand is a wedge of spheres
+    (``HochsterSummand.is_spheres``), so the whole model is one big wedge.
     """
 
     def __init__(self, summands):
@@ -280,8 +291,9 @@ class WedgeModel:
 def wedge_model(complex, coeffs="Z"):
     """Wedge decomposition read off the Hochster summands.
 
-    Filters out the unit (I = ∅); summands with torsion are kept but
-    flagged, and make the model incomplete.
+    Filters out the unit (I = ∅); summands that are not wedges of
+    spheres (with torsion, or free in degrees two or more apart) are kept
+    but flagged, and make the model incomplete.
     """
     return WedgeModel(s for s in hochster_decomposition(complex, coeffs)
                       if s.subset_mask)
@@ -322,6 +334,7 @@ def koszul_oracle(complex, field, max_total_degree):
             f"top degree {top_needed}")
 
     ranks = {0: 0}
+    faces = complex.faces
     vertices = list(range(1, n + 1))
     for s_size in range(n + 1):
         for s_verts in combinations(vertices, s_size):
@@ -329,9 +342,9 @@ def koszul_oracle(complex, field, max_total_degree):
             for t_size in range(s_size + 1):
                 for t_verts in combinations(s_verts, t_size):
                     t_mask = vertex_mask(t_verts)
-                    if not complex.is_face(t_mask):
+                    if t_mask not in faces:
                         continue
-                    block = _block_homology(complex, s_verts, s_mask,
+                    block = _block_homology(faces, s_verts, s_mask,
                                             t_mask, p)
                     if not any(block):
                         continue
@@ -340,8 +353,9 @@ def koszul_oracle(complex, field, max_total_degree):
     return PoincareSeries(ranks).truncate(max_total_degree)
 
 
-def _block_homology(complex, s_verts, s_mask, t_mask, p):
-    """Per-exterior-degree homology ranks of one (S, T) block."""
+def _block_homology(faces, s_verts, s_mask, t_mask, p):
+    """Per-exterior-degree homology ranks of one (S, T) block of the
+    complex whose face set is ``faces``."""
     s_size = len(s_verts)
     chains = [[] for _ in range(s_size + 1)]
     for bits in range(1 << s_size):
@@ -349,27 +363,29 @@ def _block_homology(complex, s_verts, s_mask, t_mask, p):
         for i, v in enumerate(s_verts):
             if bits >> i & 1:
                 sigma |= 1 << v
-        if complex.is_face((s_mask ^ sigma) | t_mask):
+        if ((s_mask ^ sigma) | t_mask) in faces:
             chains[sigma.bit_count()].append(sigma)
-    index = [{sig: i for i, sig in enumerate(sorted(level))}
-             for level in chains]
     sorted_chains = [sorted(level) for level in chains]
+    index = [{sig: i for i, sig in enumerate(level)}
+             for level in sorted_chains]
 
     def differential(deg):
-        # maps exterior degree `deg` down to `deg - 1`
+        # maps exterior degree `deg` down to `deg - 1`, one row per
+        # degree-`deg` basis element (the transpose, which has the same
+        # rank); a smaller σ is a basis element of degree `deg - 1`
+        # exactly when its support stays a face
+        lower = index[deg - 1]
         rows = []
         for sigma in sorted_chains[deg]:
-            row = [0] * len(sorted_chains[deg - 1])
+            row = [0] * len(lower)
             sign = 1
             for v in mask_vertices(sigma):
-                smaller = sigma ^ (1 << v)
-                if complex.is_face((s_mask ^ smaller) | t_mask):
-                    row[index[deg - 1][smaller]] = sign
+                k = lower.get(sigma ^ (1 << v))
+                if k is not None:
+                    row[k] = sign
                 sign = -sign
             rows.append(row)
-        # transpose: columns indexed by degree-`deg` basis
-        return [[rows[j][i] for j in range(len(rows))]
-                for i in range(len(sorted_chains[deg - 1]))]
+        return rows
 
     from momentangle.linalg import field_rank
 

@@ -4,8 +4,8 @@ The chain complex always includes the empty face in degree -1, so every
 computation here is reduced: the complex {∅} has H̃_{-1} = k and a complex
 with a vertex has H̃_{-1} = 0, with no special-casing anywhere.
 
-Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p in
-ASCII digits with no leading zero (e.g. "F2"), one label per field.
+Coefficients are named by strings: "Z", "Q", or "Fp" for a prime p below
+2^31 in ASCII digits with no leading zero (e.g. "F2"), one label per field.
 Integer results carry torsion; field results are plain ranks.
 The cohomology side also provides canonical bases, so maps induced by
 subcomplex inclusions become honest matrices that compose correctly.
@@ -44,6 +44,10 @@ from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
 from momentangle.linalg import field_echelon, field_nullspace, field_solve  # noqa: F401
 
 
+# Bound on a prime field's p: a larger label is refused, not tested.
+MAX_FIELD_PRIME = 1 << 31
+
+
 @cache
 def parse_coefficients(label):
     """Split a coefficient label into ('Z'|'Q'|'F', p or None).
@@ -59,8 +63,12 @@ def parse_coefficients(label):
         # ASCII digits with no leading zero, so that one field has one label
         digits = label[1:]
         if digits.isascii() and digits.isdigit() and digits[0] != "0":
-            p = int(digits)
-            if p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1)):
+            # refused before any division (and a long label before int()),
+            # so trial division never passes isqrt(2^31) = 46,340
+            if len(digits) > 10 or (p := int(digits)) > MAX_FIELD_PRIME:
+                raise ValueError(f"coefficient field {label!r} is too large; "
+                                 f"use 'Fp' with a prime p below 2^31")
+            if p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1)):
                 return "F", p
     raise ValueError(f"unknown coefficient field {label!r}; "
                      "use 'Z', 'Q', or 'Fp' with p prime")

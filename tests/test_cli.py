@@ -366,6 +366,10 @@ def test_exit_codes(capsys, tmp_path):
     # bad coefficient label, and the removed thread-count and tolerance flags
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "R")[0] == 1
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "F02")[0] == 1
+    # a prime label above 2^31 is refused before any trial division
+    for label in ("F2305843009213693951", "F" + "7" * 402):
+        code, out, err = run_cli(capsys, "hochster", CYCLE4, "--coeffs", label)
+        assert code == 1 and out == "" and "too large" in err
     assert run_cli(capsys, "hochster", CYCLE4, "--threads", "2")[0] == 1
     assert run_cli(capsys, "cluster", "verify", "--n", "4", "--samples", "2",
                    "--tol", "1/2")[0] == 1
@@ -394,6 +398,14 @@ def test_exit_codes(capsys, tmp_path):
     # a facet naming one vertex twice
     repeated = write_complex(tmp_path, "repeated.json", 2, [[1, 1]])
     assert run_cli(capsys, "analyze", repeated)[0] == 1
+    # a vertex label far above n, refused before its mask is built
+    huge = write_complex(tmp_path, "huge.json", 3, [[1, 1 << 62]])
+    code, out, err = run_cli(capsys, "analyze", huge)
+    assert code == 1 and out == "" and "outside 1..3" in err
+    # a skeleton with C(30, 15) facets, refused before any is built
+    code, out, err = run_cli(capsys, "generate", "skeleton", "--n", "30",
+                             "--k", "14")
+    assert code == 1 and out == "" and "facets" in err
     # join without factors
     assert run_cli(capsys, "generate", "join")[0] == 1
     assert run_cli(capsys, "generate", "simplex")[0] == 1

@@ -1,5 +1,7 @@
 """Bitmask complex layer: construction, invariants, generators."""
 
+import math
+
 import pytest
 
 from momentangle import (
@@ -17,7 +19,11 @@ from momentangle import (
     single_non_face,
     vertex_mask,
 )
-from momentangle.complexes import iter_submasks, lowest_vertex
+from momentangle.complexes import (
+    MAX_SKELETON_FACETS,
+    iter_submasks,
+    lowest_vertex,
+)
 
 from util import (
     all_complexes_on,
@@ -218,6 +224,11 @@ def test_vertex_bounds_enforced():
         new_complex(3, [[0, 1]])
     with pytest.raises(ValueError):
         new_complex(3, [[1, 4]])
+    # refused before the label is packed: 1 << 2^62 cannot be allocated
+    with pytest.raises(ValueError, match="outside 1..3"):
+        new_complex(3, [[1, 1 << 62]])
+    with pytest.raises(ValueError, match="outside 1..3"):
+        SimplicialComplex.from_dict({"n": 3, "facets": [[1, 100000000]]})
     with pytest.raises(ValueError):
         SimplicialComplex(-1, [])
     # zero vertices is fine: it is the complex {∅} with empty support
@@ -283,6 +294,16 @@ def test_neighbourliness_matches_the_subset_scan():
         assert (K.support_neighbourliness
                 == brute_neighbourliness(K, K.support)), K
         assert K.neighbourliness == brute_neighbourliness(K, full_mask(K.n)), K
+
+
+def test_full_skeleton_facet_bound():
+    # every skeleton on the 20 vertices a command reads at most still
+    # builds; one more vertex, or C(30, 15) facets, is refused up front
+    assert max(math.comb(20, k + 1) for k in range(20)) == MAX_SKELETON_FACETS
+    for n, k in ((21, 9), (30, 14)):
+        with pytest.raises(ValueError, match="facets"):
+            full_skeleton(n, k)
+    assert full_skeleton(21, 19) == boundary_simplex(21)
 
 
 def test_random_complex_honours_floor_and_seed():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from functools import reduce
 from operator import or_
 
@@ -19,6 +20,7 @@ from momentangle import (
     cup_products_vanish,
     cycle_complex,
     field_rank,
+    flag_from_graph,
     full_mask,
     full_skeleton,
     iota_pair,
@@ -602,6 +604,94 @@ def test_generator_counts_follow_universal_coefficients():
         torsion += sum(len(calc.integral_group(d).torsion)
                        for d in calc.degrees())
     assert torsion >= 4
+
+
+def _verdict_mix_inputs():
+    """The inputs of the benchmark's verdict-mix pool, as (command,
+    complex): theorem on Inconclusive, NotCoH and CoH inputs, golod on
+    six-cycles (``cycle_flag(6, s)`` is a 6-cycle in seeded vertex order)."""
+    def cycle_flag(seed):
+        order = list(range(1, 7))
+        random.Random(seed).shuffle(order)
+        return flag_from_graph(6, [(order[k], order[(k + 1) % 6])
+                                   for k in range(6)])
+
+    theorem = [random_complex(6, 2, 0.2, s)
+               for s in (2, 6, 19, 28, 29, 31, 32, 37)]
+    theorem.append(full_skeleton(6, 1))
+    theorem += [cycle_flag(s) for s in (0, 1, 3, 4, 6, 8, 10, 11, 12, 13, 14,
+                                        15, 16, 17, 20, 23)]
+    theorem += [random_complex(n, floor, 0.5, s) for n, floor, s in (
+        (9, 4, 0), (8, 4, 1), (9, 4, 1), (8, 3, 2), (8, 3, 3), (8, 4, 3),
+        (9, 4, 3), (7, 3, 4), (7, 3, 5), (8, 3, 5), (8, 4, 5), (9, 4, 5))]
+    golod_inputs = [cycle_complex(6)]
+    golod_inputs += [cycle_flag(s) for s in (102, 104, 106)]
+    return ([("theorem", K) for K in theorem]
+            + [("golod", K) for K in golod_inputs])
+
+
+def test_pair_maps_read_no_side_without_a_partner(monkeypatch):
+    """A pair map reads a side's generators in a factor degree only when
+    the partner degree has generators over the same coefficients, and a
+    side's torsion primitives only when the two sides' torsion orders
+    share a prime: on the verdict-mix inputs, both fixtures, and the join
+    of two RP²'s, whose Z map has Tor columns."""
+    building, reads, wasted = [], {"generators": 0, "torsion": 0}, []
+    matrix = CrossProductMap.matrix
+    generators = CochainCalculator.generators
+    torsion_primitives = CochainCalculator.torsion_primitives
+
+    def partner(side, degree, shift):
+        # the other side of the map being built and its degree: d - 1 - p
+        # for a cross product, d - p for a Tor class
+        pair_map, d = building[-1]
+        assert side in (pair_map.calc_i, pair_map.calc_j)
+        other = pair_map.calc_j if side is pair_map.calc_i else pair_map.calc_i
+        return other, d - shift - degree
+
+    def spy_matrix(self, d):
+        building.append((self, d))
+        try:
+            return matrix(self, d)
+        finally:
+            building.pop()
+
+    def spy_generators(self, p, coeffs):
+        if building:
+            reads["generators"] += 1
+            other, q = partner(self, p, 1)
+            if not other.generator_count(q, coeffs):
+                wasted.append(("generators", p, coeffs))
+        return generators(self, p, coeffs)
+
+    def spy_torsion_primitives(self, p):
+        if building:
+            reads["torsion"] += 1
+            other, q = partner(self, p, 0)
+            if not any(math.gcd(e, f) > 1
+                       for e in self.integral_group(p).torsion
+                       for f in other.integral_group(q).torsion):
+                wasted.append(("torsion_primitives", p))
+        return torsion_primitives(self, p)
+
+    monkeypatch.setattr(CrossProductMap, "matrix", spy_matrix)
+    monkeypatch.setattr(CochainCalculator, "generators", spy_generators)
+    monkeypatch.setattr(CochainCalculator, "torsion_primitives",
+                        spy_torsion_primitives)
+    cases = _verdict_mix_inputs()
+    for name in ("cycle4.json", "rp2.json"):
+        cases += [("theorem", fixture_complex(name)),
+                  ("golod", fixture_complex(name))]
+    for command, K in cases:
+        if command == "theorem":
+            splitting_verdict(K)
+        else:
+            pair_certificates(K)
+    rp2 = fixture_complex("rp2.json")
+    iota_pair(shifted_join(rp2, rp2), full_mask(6),
+              full_mask(12) ^ full_mask(6))
+    assert not wasted, (len(wasted), wasted[:5])
+    assert reads["generators"] > 0 and reads["torsion"] > 0
 
 
 def test_cross_product_matrices_on_torsion_fixtures_match_the_oracle():

@@ -210,6 +210,27 @@ def test_wedge_model_spheres():
     assert c4_model.sphere_degrees == [3, 3, 6]
 
 
+def test_free_groups_two_degrees_apart_are_not_spheres():
+    # a point disjoint from the boundary of a tetrahedron: free in degrees
+    # 0 and 2, so the whole-set summand is free in ambient degrees 6 and
+    # 8, two apart, where a top cell may be attached by η; spheres are
+    # withheld, conservatively
+    K = new_complex(5, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5]])
+    model = wedge_model(K)
+    whole = model.summands[-1]
+    assert whole.as_dict() == {"I": [1, 2, 3, 4, 5],
+                               "degrees": {"6": 1, "8": 1}}
+    assert not whole.is_spheres and whole.sphere_degrees == []
+    assert all(s.is_spheres for s in model.summands[:-1])
+    assert not model.is_complete
+    assert model.as_dict()["spheres"] is None
+    # with the boundary of a triangle the degrees are adjacent: spheres
+    adjacent = wedge_model(new_complex(4, [[1, 2], [2, 3], [1, 3], [4]]))
+    assert adjacent.summands[-1].as_dict()["degrees"] == {"5": 1, "6": 1}
+    assert adjacent.is_complete
+    assert adjacent.as_dict()["summands"][-1]["spheres"] == [5, 6]
+
+
 def test_wedge_model_torsion_blocks_completeness():
     model = wedge_model(fixture_complex("rp2.json"))
     assert not model.is_complete

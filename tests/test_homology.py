@@ -61,8 +61,12 @@ def test_parse_coefficients():
     assert parse_coefficients("Q") == ("Q", None)
     assert parse_coefficients("F2") == ("F", 2)
     assert parse_coefficients("F13") == ("F", 13)
+    # the largest prime below the bound; above it a label is refused
+    # before any trial division (2^61 - 1 and a 402-digit label)
+    assert parse_coefficients("F2147483647") == ("F", 2147483647)
     for bad in ("F4", "F1", "R", "", "Fx",
-                "F02", "F+2", "F 2", "F2 ", "F\uff12"):
+                "F02", "F+2", "F 2", "F2 ", "F\uff12",
+                "F2305843009213693951", "F" + "7" * 402):
         with pytest.raises(ValueError):
             parse_coefficients(bad)
 
