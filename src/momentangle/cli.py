@@ -45,7 +45,10 @@ SCHEMA_VERSION = 2
 
 def _load_complex(path):
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: the file nests too deeply") from None
     return SimplicialComplex.from_dict(data)
 
 
@@ -259,19 +262,11 @@ def _cmd_cluster_verify(args):
         homotopy["max_end_error"] = _fraction_str(homotopy["max_end_error"])
         body["homotopy"] = homotopy
         witness = find_tagging_violation(complex)
-        if witness is None:
-            body["tagging_violation"] = None
-        else:
-            body["tagging_violation"] = {
-                "low_block": _vertices(witness["low_block"]),
-                "high_block": _vertices(witness["high_block"]),
-                "culprit": _vertices(witness["culprit"]),
-                "failed_block": _vertices(witness["failed_block"]),
-                "support": _vertices(witness["support"]),
-                "pre_gauge": [_fraction_str(c) for c in witness["pre_gauge"]],
-                "params": [_fraction_str(c) for c in witness["params"]],
-                "payload": [_fraction_str(c) for c in witness["payload"]],
-            }
+        # masks as vertex lists, points as fractions
+        body["tagging_violation"] = None if witness is None else {
+            key: (_vertices(value) if isinstance(value, int)
+                  else [_fraction_str(c) for c in value])
+            for key, value in witness.items()}
     return _report("cluster verify", config, body)
 
 

@@ -20,12 +20,12 @@ per-mask record: a ``homology.ChainComplex`` whose cone tests, dimension
 and Hurewicz test the certificates read, and whose connectivity comes
 off its table of integral groups.  It serves every coefficient system.
 The engine keeps no pair map: a pair's report builds its maps again from
-the cached calculators.  The table also gives, by universal
-coefficients, how many generators a degree has over each coefficient
-system, and its torsion orders.  So a pair map decides each degree from
-the tables before any Smith transform: a target degree with no classes
-is no rows, and a factor degree builds its cross products only where
-both sides have classes, and over ZZ its Tor classes only where their
+the cached calculators.  Each calculator tabulates from that table, once
+per coefficient system and by universal coefficients, how many classes
+each degree has (``class_counts``).  So a pair map decides each degree
+from the tables before any Smith transform: a target degree with no
+classes is no rows, cross products are built only in the factor degrees
+where both sides have classes, and over ZZ Tor classes only where the
 torsion orders share a prime.
 
 A certificate stops at the first nonzero map, so a QQ check that
@@ -262,32 +262,31 @@ class CrossProductMap(GradedMap):
 
     def _rows(self, d):
         """The matrix in degree d, decided first from the calculators'
-        integral tables: no rows when the target has no generators, and
-        one empty row per target generator when no cochain is built.
+        class counts: no rows when the target has no generators, and one
+        empty row per target generator when no cochain is built.
 
-        A factor degree p builds cross products only when both sides have
-        generators there, and over ``Z`` Tor cochains only when the two
-        sides' torsion orders share a prime, so no side's transforms are
-        built for a degree whose partner has no classes.  The built
+        Cross products are built only for I's class degrees p where J has
+        classes in d - 1 - p, and over ``Z`` Tor cochains only where the
+        two sides' torsion orders share a prime, so no side's transforms
+        are built for a degree whose partner has no classes.  The built
         cochains' class coordinates make up the columns.
         """
         target, coeffs = self.target, self.coeffs
-        size = target.generator_count(d, coeffs)
+        size = target.class_counts(coeffs).get(d)
         if not size:
             return []
         calc_i, calc_j = self.calc_i, self.calc_j
+        counts_j = calc_j.class_counts(coeffs)
         cochains = []
-        for p in range(-1, d + 1):
+        for p in calc_i.class_counts(coeffs):
             q = d - 1 - p
-            if (calc_i.generator_count(p, coeffs)
-                    and calc_j.generator_count(q, coeffs)):
+            if q in counts_j:
                 cochains += self._cross(d, p, calc_i.generators(p, coeffs),
                                         calc_j.generators(q, coeffs))
         if coeffs == "Z":
-            for p in range(d + 1):
-                torsion_i = calc_i.integral_group(p).torsion
-                if torsion_i and any(
-                        math.gcd(e, f) > 1 for e in torsion_i
+            for p, group in calc_i.integral_groups.items():
+                if group.torsion and any(
+                        math.gcd(e, f) > 1 for e in group.torsion
                         for f in calc_j.integral_group(d - p).torsion):
                     cochains += self._tor_cochains(d, p)
         if not cochains:

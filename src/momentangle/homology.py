@@ -16,9 +16,9 @@ the Smith forms of the coboundaries (``CochainCalculator``).
 down to I, it holds the faces of K_I, its cone apex, dimension, support
 neighbourliness and table of integral cohomology, with no K_I built.
 ``CochainCalculator`` is a ``ChainComplex`` that also keeps the
-coboundaries and their Smith forms; each of its readings takes the
-coefficients as an argument, so one calculator per mask serves every
-coefficient system.
+coboundaries, their Smith forms and its class counts; each of its
+readings takes the coefficients as an argument, so one calculator per
+mask serves every coefficient system.
 
 ``InducedMap`` reads such a map off the calculators of both complexes.
 The pair maps into a join K_I * K_J never need the join's calculator: by
@@ -153,7 +153,7 @@ class ChainComplex:
     It holds ``support``, ``apex`` (the vertices every facet shares,
     nonzero exactly for a cone) and the faces by degree (``levels``:
     degree d holds the faces with d+1 vertices, sorted by mask value),
-    which a cone sorts, and a simplex lists, only when they are read.
+    which every record sorts, and a simplex lists, only when first read.
     ``dim`` and ``support_neighbourliness`` are read off the levels, and
     the table of integral cohomology (``integral_groups``), with the
     ``connectivity`` it fixes, is built on first use.
@@ -169,22 +169,15 @@ class ChainComplex:
         if order[0] == self.support:
             # a simplex, so a cone on each of its vertices, whose faces
             # are all the subsets of its support
-            self.apex = self.support
-            return
-        faces, self.apex = _restricted_faces(order)
-        if self.apex:
-            self._cone_faces = faces
+            self._faces, self.apex = None, self.support
         else:
-            # set here, these shadow the properties that read a cone's faces
-            self.levels = face_levels(faces)
-            self.support_neighbourliness = neighbourliness_from_counts(
-                [len(level) for level in self.levels])
+            self._faces, self.apex = _restricted_faces(order)
 
     @cached_property
     def levels(self):
-        """A cone's faces by vertex count (``face_levels``), sorted only
-        when first read."""
-        faces = self.__dict__.pop("_cone_faces", None)
+        """The faces by vertex count (``face_levels``), sorted only when
+        first read; a simplex lists its support's submasks then."""
+        faces = self.__dict__.pop("_faces")
         return face_levels(iter_submasks(self.apex) if faces is None else faces)
 
     @cached_property
@@ -409,9 +402,9 @@ class CochainCalculator(ChainComplex):
     the coboundaries and their Smith forms, and serves every coefficient
     system; its readings are cached by degree and coefficients.  The
     table of integral groups (``integral_group``) comes from rank-only
-    Smith forms, so ``generator_count`` tells how many generators a
-    degree has without building any transform.  Intended for small
-    complexes.
+    Smith forms, and ``class_counts`` reads off it, once per coefficient
+    system, how many generators each degree has, with no transform
+    built.  Intended for small complexes.
     """
 
     def __init__(self, masks):
@@ -419,6 +412,7 @@ class CochainCalculator(ChainComplex):
         self._coboundaries = {}
         self._forms = {}
         self._readings = {}
+        self._counts = {}
 
     def degrees(self):
         return range(-1, self.dim + 1)
@@ -512,20 +506,22 @@ class CochainCalculator(ChainComplex):
         window."""
         return self.integral_groups.get(d, _ZERO_GROUP)
 
-    def generator_count(self, d, coeffs):
-        """``len(self.orders(d, coeffs))``, by universal coefficients from
-        the integral groups: over ``Z`` the rank plus the torsion factors,
-        over ``Q`` the rank, and over ``F_p`` the rank plus the factors
+    def class_counts(self, coeffs):
+        """``{d: len(self.orders(d, coeffs))}`` over the degrees with
+        generators, ascending, tabulated once per coefficient system by
+        universal coefficients from the integral groups: the rank, plus
+        over ``Z`` the torsion factors and over ``F_p`` the factors
         divisible by p of H̃^d and of H̃^{d+1} (the Tor part)."""
-        group = self.integral_group(d)
-        kind, p = parse_coefficients(coeffs)
-        if kind == "Z":
-            return group.rank + len(group.torsion)
-        if kind == "Q":
-            return group.rank
-        return group.rank + sum(
-            1 for e in group.torsion + self.integral_group(d + 1).torsion
-            if e % p == 0)
+        if coeffs not in self._counts:
+            kind, p = parse_coefficients(coeffs)
+            counts = self._counts[coeffs] = {}
+            for d, group in self.integral_groups.items():
+                factors = group.torsion if kind == "Z" else [
+                    e for e in group.torsion + self.integral_group(d + 1).torsion
+                    if p and e % p == 0]
+                if group.rank or factors:
+                    counts[d] = group.rank + len(factors)
+        return self._counts[coeffs]
 
     def group(self, d, coeffs):
         orders = self.orders(d, coeffs)

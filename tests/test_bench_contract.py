@@ -6,10 +6,13 @@ traced benchmark pass.  These tests load the tracer read-only and fail
 first instead.
 """
 
+import ast
+import importlib
 import importlib.util
 import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -28,6 +31,28 @@ def test_every_wrapped_attribute_exists():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing.WRAPPED
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_unused_imports_are_the_wrapped_ones():
+    # a name imported only for the tracer carries ``noqa: F401``; each must
+    # be a wrapped attribute of its module, so a tracer that stops wrapping
+    # it names the import to drop
+    wrapped = {(owner, attr) for owner, attr, _, _ in load_tracing().WRAPPED}
+    stray = []
+    for path in sorted((ROOT / "src" / "momentangle").glob("*.py")):
+        module = importlib.import_module(
+            "momentangle" if path.stem == "__init__"
+            else f"momentangle.{path.stem}")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                stray += [f"{path.stem}.{alias.asname or alias.name}"
+                          for alias in node.names
+                          if (module, alias.asname or alias.name)
+                          not in wrapped]
+    assert stray == []
 
 
 def test_install_then_uninstall_restores_originals():

@@ -359,6 +359,11 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 1 and "line 1" in err
+    # a document nested too deeply for the decoder
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000)
+    code, out, err = run_cli(capsys, "analyze", str(deep))
+    assert code == 1 and out == "" and "nests too deeply" in err
     # structurally wrong document
     worse = tmp_path / "worse.json"
     worse.write_text(json.dumps({"facets": [[1]]}))
