@@ -159,6 +159,15 @@ def _groups_json(groups):
     return text
 
 
+def _complex_json(complex):
+    """The bytes of ``json.dumps(complex.to_dict(), indent=2, sort_keys=True)``,
+    written without the pure-Python encoder (see ``_json_text``)."""
+    facets = ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(str, mask_vertices(f))) + "\n    ]"
+        if f else "[]" for f in complex.facets)
+    return f'{{\n  "facets": [\n    {facets}\n  ],\n  "n": {complex.n}\n}}'
+
+
 def _report(command, config, body):
     out = {"schema": SCHEMA_VERSION, "command": command, "config": config}
     out.update(body)
@@ -289,7 +298,7 @@ def _cmd_generate(args):
         if args.n is None:
             raise ValueError(f"family '{args.family}' needs --n")
         complex = _GENERATORS[args.family](args)
-    payload = json.dumps(complex.to_dict(), indent=2, sort_keys=True)
+    payload = _complex_json(complex)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")

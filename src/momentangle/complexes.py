@@ -306,10 +306,13 @@ class SimplicialComplex:
         the realization, which ghost vertices cannot affect.
 
         Read off the face counts (``neighbourliness_from_counts``).  A
-        missing edge shows in ``closed_neighbourhoods`` first, which
-        spares the face set of a complex that is not 2-neighbourly.
+        simplex, one facet, has every subset of its support as a face, and
+        a missing edge shows in ``closed_neighbourhoods``; both are read
+        first, which spares the face set.
         """
         support = self.support
+        if len(self.facets) == 1:
+            return support.bit_count()
         if support.bit_count() >= 2 and any(
                 closed != support for closed in self.closed_neighbourhoods if closed):
             return 1

@@ -16,10 +16,15 @@ Most subsets cost no homology at all.  When I holds a ghost vertex, or a
 vertex dominated in the flag complex K_I (its link is a cone), deleting
 that vertex keeps the homotopy type, so I takes the groups of the smaller
 subset, which the scan in increasing mask order has already computed.
-Only the strong-collapse cores compute groups, and they read K_I straight
-off K's facets cut down to I, as a ``homology.ChainComplex``: no
-restricted complex is built.  The pair engine of ``golod`` reads each
-K_I the same way.
+Of the strong-collapse cores left, most are read off K's support
+neighbourliness m: when no facet meets I in more than m vertices, K_I is
+the full (min(s, m) - 1)-skeleton on the s vertices of I, a simplex for
+s ≤ m and otherwise a complex with the one group H̃^{m-1} = Z^{C(s-1, m)},
+free over every coefficient system.  This settles every core of a
+skeleton, and the independent sets of a flag complex (m = 1).  Only the
+other cores compute groups, and they read K_I straight off K's facets
+cut down to I, as a ``homology.ChainComplex``: no restricted complex is
+built.  The pair engine of ``golod`` reads each K_I the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 from itertools import combinations
 
 from momentangle.complexes import mask_vertices, vertex_mask
-from momentangle.homology import ChainComplex, parse_coefficients
+from momentangle.homology import ChainComplex, HomologyGroup, parse_coefficients
 # Unused here, but the benchmark's tracer wraps these two module attributes.
 from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
@@ -153,8 +158,20 @@ def hochster_decomposition(complex, coeffs="Z"):
     scanned in increasing mask order, keeping each one's unshifted groups.
     A subset with a removable vertex v (see :func:`_removable_vertex`)
     has K_I ≃ K_{I∖v}, so it takes the groups already kept for the
-    smaller mask.  The other subsets, the cores, cut K's facets down to I:
-    when I itself is one of them K_I is a simplex and has no groups, and
+    smaller mask.  The other subsets, the cores, lie on the support.
+
+    A nonempty core I of s vertices that no facet meets in more than m
+    vertices, m = ``complex.support_neighbourliness``, takes a closed
+    form.  K_I holds every m-subset of I and no face with more than m
+    vertices, so it is the full (min(s, m) - 1)-skeleton on I: for s ≤ m
+    the simplex on I, with no groups, and for s > m a complex with the
+    simplex's chain groups through degree m - 1 and nothing above, whose
+    one group is H̃^{m-1} = Z^{C(s-1, m)}, free, so the same rank over
+    every coefficient system.  Only facets with more than m vertices
+    can meet I in more, so they are listed once.
+
+    Every other core, I = ∅ included, cuts K's facets down to I: when I
+    itself is one of them K_I is a simplex and has no groups, and
     otherwise :func:`_core_groups` computes them from those facets.
     """
     parse_coefficients(coeffs)
@@ -167,6 +184,8 @@ def hochster_decomposition(complex, coeffs="Z"):
         neighbourhoods = {1 << v: closed for v, closed
                           in enumerate(complex.closed_neighbourhoods)}
     support, facets = complex.support, complex.facets
+    m = complex.support_neighbourliness
+    big = [f for f in facets if f.bit_count() > m]
     # (d, H̃^d(K_I)) for the nonzero groups, ascending in d, by mask >> 1
     groups_of = [()] * (1 << n)
     summands = []
@@ -175,6 +194,12 @@ def hochster_decomposition(complex, coeffs="Z"):
         removable = _removable_vertex(mask, support, neighbourhoods)
         if removable:
             groups = groups_of[(mask ^ removable) >> 1]
+        elif mask and not any((f & mask).bit_count() > m for f in big):
+            # K_I is the full (min(s, m) - 1)-skeleton on I, s = |I|
+            s = mask.bit_count()
+            if s <= m:
+                continue    # K_I is the simplex on I
+            groups = ((m - 1, HomologyGroup(math.comb(s - 1, m))),)
         else:
             restricted = {f & mask for f in facets}
             if mask and mask in restricted:

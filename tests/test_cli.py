@@ -10,7 +10,19 @@ import time
 
 import pytest
 
-from momentangle import HochsterSummand, SimplicialComplex, cli
+from momentangle import (
+    HochsterSummand,
+    SimplicialComplex,
+    boundary_simplex,
+    cli,
+    cycle_complex,
+    full_skeleton,
+    new_complex,
+    random_complex,
+    shifted_join,
+    simplex,
+    single_non_face,
+)
 
 from util import FIXTURES, fixture_complex, gnp_flag, seeded
 
@@ -223,6 +235,35 @@ def test_generate_families(capsys, tmp_path):
     second = run_json(capsys, "generate", "random", "--n", "5",
                       "--floor", "1", "--density", "0.4", "--seed", "9")
     assert first == second
+
+
+def test_generate_stdout_is_json_dumps(capsys, tmp_path):
+    """Every family's output is the bytes of ``json.dumps(indent=2,
+    sort_keys=True)`` of its ``to_dict``, {∅} (one empty facet) included,
+    and ``--out`` writes the same bytes."""
+    empty = write_complex(tmp_path, "empty.json", 2, [])
+    edge = write_complex(tmp_path, "edge.json", 2, [[1, 2]])
+    cases = [
+        (["simplex", "--n", "0"], simplex(0)),
+        (["simplex", "--n", "3"], simplex(3)),
+        (["boundary", "--n", "4"], boundary_simplex(4)),
+        (["skeleton", "--n", "12", "--k", "3"], full_skeleton(12, 3)),
+        (["skeleton", "--n", "3", "--k", "-1"], full_skeleton(3, -1)),
+        (["cycle", "--n", "11"], cycle_complex(11)),
+        (["nonface", "--n", "7", "--size", "4"], single_non_face(7, 4)),
+        (["random", "--n", "10", "--floor", "3", "--density", "0.5",
+          "--seed", "4"], random_complex(10, 3, 0.5, 4)),
+        (["join", "--left", empty, "--right", edge],
+         shifted_join(new_complex(2, []),
+                      SimplicialComplex.from_vertex_lists(2, [[1, 2]]))),
+    ]
+    for argv, complex in cases:
+        expected = json.dumps(complex.to_dict(), indent=2, sort_keys=True)
+        code, out, _ = run_cli(capsys, "generate", *argv)
+        assert code == 0 and out == expected + "\n", argv
+        path = tmp_path / "out.json"
+        assert run_cli(capsys, "generate", *argv, "--out", str(path))[0] == 0
+        assert path.read_text(encoding="utf-8") == expected + "\n", argv
 
 
 def test_generate_random_refuses_unbounded_densities(capsys):

@@ -1,8 +1,12 @@
 """Subset-cohomology decomposition, Poincaré series, wedge models, oracle."""
 
+import math
+
 import pytest
 
 from momentangle import (
+    ChainComplex,
+    HomologyGroup,
     PoincareSeries,
     SimplicialComplex,
     TruncationError,
@@ -131,9 +135,12 @@ def test_decomposition_matches_full_range_cohomology():
 def test_scan_builds_only_the_cores(monkeypatch):
     """On the five-cycle, only the empty set, the vertices, the non-edges
     and the whole cycle lack a removable vertex; every other subset
-    reuses the groups of a smaller one.  A vertex is a simplex, so only
-    the empty set, the non-edges and the whole cycle compute groups, and
-    none of them builds a restriction."""
+    reuses the groups of a smaller one.  The cycle is 1-neighbourly and
+    no edge meets a vertex or a non-edge in two vertices, so those read
+    their groups off the closed form: a vertex is a simplex, and a
+    non-edge is two points, H̃^0 = Z in degree 0 + 3.  Only the empty set
+    and the whole cycle compute groups, and none of them builds a
+    restriction."""
     c5 = cycle_complex(5)
     assert c5.is_flag   # cached, so the flag test's restriction is not counted
     computed, restricted = [], []
@@ -153,10 +160,30 @@ def test_scan_builds_only_the_cores(monkeypatch):
 
     monkeypatch.setattr(hochster, "_core_groups", recording_core)
     monkeypatch.setattr(SimplicialComplex, "restriction", recording_restriction)
-    hochster_decomposition(c5, "Z")
-    non_edges = [vertex_mask([v, (v + 1) % 5 + 1]) for v in range(1, 6)]
-    assert sorted(computed) == sorted([0, *non_edges, full_mask(5)])
+    summands = {s.subset_mask: s for s in hochster_decomposition(c5, "Z")}
+    assert sorted(computed) == [0, full_mask(5)]
     assert restricted == []
+    for v in range(1, 6):
+        non_edge = vertex_mask([v, (v + 1) % 5 + 1])
+        assert summands[non_edge].shifted_groups == ((3, HomologyGroup(1)),)
+
+
+def test_skeleton_scan_builds_one_chain_complex(monkeypatch):
+    """A skeleton has no facet above its neighbourliness, so every core
+    but the empty set takes the closed form: the scan of the 2-skeleton
+    on ten vertices builds one chain complex, that of I = ∅."""
+    built = []
+    init = ChainComplex.__init__
+
+    def recording(self, masks):
+        built.append(set(masks))
+        init(self, masks)
+
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    summands = hochster_decomposition(full_skeleton(10, 2), "Z")
+    assert built == [{0}]
+    assert len(summands) == 1 + 2 ** 10 - sum(
+        math.comb(10, s) for s in range(4))
 
 
 def test_oracle_matches_decomposition_on_random_complexes():

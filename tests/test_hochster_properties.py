@@ -7,11 +7,13 @@ its series against the Koszul oracle, which shares no code with it, and
 its summands under a relabelling of the vertices, which changes which
 vertex each subset drops.
 
-Every other subset reads its faces off K's facets cut down to it.  That
-is checked against the restricted complexes: summand by summand against
-``hochster_by_restriction``, and mask by mask for the faces, the cone
-test and the neighbourliness read off the face counts.  Runs are
-derandomized, so every run draws the same examples.
+Every other subset takes the closed form of a full skeleton, or reads
+its faces off K's facets cut down to it.  That is checked against the
+restricted complexes: summand by summand against
+``hochster_by_restriction``, on skeleta with facets added above them and
+neighbourly random complexes as well as flag complexes, and mask by mask
+for the faces, the cone test and the neighbourliness read off the face
+counts.  Runs are derandomized, so every run draws the same examples.
 """
 
 from itertools import combinations
@@ -25,11 +27,13 @@ from momentangle import (
     SimplicialComplex,
     flag_from_graph,
     full_mask,
+    full_skeleton,
     hochster_decomposition,
     koszul_oracle,
     mask_vertices,
     new_complex,
     poincare_series,
+    random_complex,
     vertex_mask,
 )
 from momentangle.complexes import neighbourliness_from_counts
@@ -92,15 +96,33 @@ def test_summands_follow_a_relabelling(K, data):
 
 @st.composite
 def scan_inputs(draw):
-    """Seeded flag complexes on at most nine vertices and seeded random
-    antichains, either with up to two ghost vertices added, {∅} and RP².
-    The seed picks the sizes, so small draws still reach n = 9."""
-    kind = draw(st.sampled_from(("flag", "antichain", "empty", "rp2")))
+    """Seeded flag complexes on at most nine vertices, seeded random
+    antichains, k-skeleta on at most eight vertices with up to three
+    facets added above them, and neighbourly ``random_complex`` inputs,
+    each with up to two ghost vertices added; {∅} and RP².  The seed
+    picks the sizes, so small draws still reach n = 9.  The skeleta and
+    the neighbourly inputs reach the closed-form cores, and the facets
+    added above a skeleton the cores that a facet meets in more than m
+    vertices."""
+    kind = draw(st.sampled_from(("flag", "antichain", "skeleton", "random",
+                                 "empty", "rp2")))
     rng = seeded(draw(st.integers(0, 10 ** 6)))
     if kind == "flag":
         K = gnp_flag(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
     elif kind == "antichain":
         K = random_antichain_complex(rng, rng.randint(1, 7))
+    elif kind == "skeleton":
+        n = rng.randint(1, 8)
+        k = rng.randint(-1, n - 1)
+        facets = list(full_skeleton(n, k).facets)
+        for _ in range(rng.randint(0, 3)):
+            size = rng.randint(min(k + 2, n), n)
+            facets.append(vertex_mask(rng.sample(range(1, n + 1), size)))
+        K = SimplicialComplex(n, facets)
+    elif kind == "random":
+        n = rng.randint(1, 8)
+        K = random_complex(n, rng.randint(0, n), rng.choice((0.2, 0.5)),
+                           rng.randrange(10 ** 6))
     elif kind == "empty":
         return new_complex(rng.randint(0, 3), [])
     else:
@@ -108,7 +130,7 @@ def scan_inputs(draw):
     return SimplicialComplex(min(K.n + rng.randint(0, 2), 9), K.facets)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(scan_inputs())
 def test_scan_matches_the_restrictions(K):
     for coeffs in ("Z", "Q", "F2", "F3"):
@@ -134,3 +156,4 @@ def test_faces_read_off_the_facets_are_the_restrictions(drawn):
         assert faces == sub.faces
         assert (apex != 0) == sub.is_cone
         assert neighbourliness_from_counts(counts) == sub.support_neighbourliness
+
