@@ -81,6 +81,16 @@ def neighbourliness_from_counts(counts):
     return k
 
 
+def full_skeleton_size(order, support):
+    """k, the largest size in the masks ``order`` (listed largest first),
+    when they span the full (k - 1)-skeleton on the s vertices of
+    ``support``: no face is larger, and C(s, k) distinct k-subsets are
+    all of them.  Otherwise None.  The simplex is k = s; {∅} is s = 0."""
+    k = order[0].bit_count()
+    top = set(itertools.takewhile(lambda f: f.bit_count() == k, order))
+    return k if len(top) == math.comb(support.bit_count(), k) else None
+
+
 def _check_vertex_count(n):
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be between 0 and {MAX_VERTICES}")
@@ -215,12 +225,6 @@ class SimplicialComplex:
         """Full subcomplex on the vertices of ``mask``; ambient set unchanged."""
         return SimplicialComplex(self.n, (f & mask for f in self.facets))
 
-    def vertex_delete(self, v):
-        """Restriction to the complement of vertex ``v``."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} not in 1..{self.n}")
-        return self.restriction(full_mask(self.n) ^ (1 << v))
-
     def join(self, other):
         """Join on a common ambient set; supports must be disjoint.
 
@@ -306,13 +310,13 @@ class SimplicialComplex:
         the realization, which ghost vertices cannot affect.
 
         Read off the face counts (``neighbourliness_from_counts``).  A
-        simplex, one facet, has every subset of its support as a face, and
-        a missing edge shows in ``closed_neighbourhoods``; both are read
-        first, which spares the face set.
+        full skeleton (``full_skeleton_size``) and a missing edge (in
+        ``closed_neighbourhoods``) are read first, sparing the face set.
         """
         support = self.support
-        if len(self.facets) == 1:
-            return support.bit_count()
+        order = sorted(self.facets, key=int.bit_count, reverse=True)
+        if (k := full_skeleton_size(order, support)) is not None:
+            return k
         if support.bit_count() >= 2 and any(
                 closed != support for closed in self.closed_neighbourhoods if closed):
             return 1

@@ -18,7 +18,9 @@ pair map is read off the cached calculators of I, J and I ∪ J
 down to it, as the Hochster scan reads its cores, and is the one
 per-mask record: a ``homology.ChainComplex`` whose cone tests, dimension
 and Hurewicz test the certificates read, and whose connectivity comes
-off its table of integral groups.  It serves every coefficient system.
+off its table of integral groups; a full skeleton, as most K_I of a
+neighbourly K are, lists no faces until a pair map reads its generators.
+It serves every coefficient system.
 The engine keeps no pair map: a pair's report builds its maps again from
 the cached calculators.  Each calculator tabulates from that table, once
 per coefficient system and by universal coefficients, how many classes

@@ -20,11 +20,12 @@ Of the strong-collapse cores left, most are read off K's support
 neighbourliness m: when no facet meets I in more than m vertices, K_I is
 the full (min(s, m) - 1)-skeleton on the s vertices of I, a simplex for
 s ≤ m and otherwise a complex with the one group H̃^{m-1} = Z^{C(s-1, m)},
-free over every coefficient system.  This settles every core of a
-skeleton, and the independent sets of a flag complex (m = 1).  Only the
-other cores compute groups, and they read K_I straight off K's facets
-cut down to I, as a ``homology.ChainComplex``: no restricted complex is
-built.  The pair engine of ``golod`` reads each K_I the same way.
+free over every coefficient system (``homology.skeleton_groups``).  This
+settles every core of a skeleton, and the independent sets of a flag
+complex (m = 1).  The other cores read K_I straight off K's facets cut
+down to I, as a ``homology.ChainComplex``, which reads a full skeleton
+by the same formula: no restricted complex is built.  The pair engine
+of ``golod`` reads each K_I the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from itertools import combinations
 
 from momentangle.complexes import mask_vertices, vertex_mask
-from momentangle.homology import ChainComplex, HomologyGroup, parse_coefficients
+from momentangle.homology import ChainComplex, parse_coefficients, skeleton_groups
 # Unused here, but the benchmark's tracer wraps these two module attributes.
 from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
@@ -164,15 +165,16 @@ def hochster_decomposition(complex, coeffs="Z"):
     vertices, m = ``complex.support_neighbourliness``, takes a closed
     form.  K_I holds every m-subset of I and no face with more than m
     vertices, so it is the full (min(s, m) - 1)-skeleton on I: for s ≤ m
-    the simplex on I, with no groups, and for s > m a complex with the
-    simplex's chain groups through degree m - 1 and nothing above, whose
-    one group is H̃^{m-1} = Z^{C(s-1, m)}, free, so the same rank over
-    every coefficient system.  Only facets with more than m vertices
-    can meet I in more, so they are listed once.
+    the simplex on I, with no groups, and for s > m a complex whose one
+    group is H̃^{m-1} = Z^{C(s-1, m)}, free, so the same rank over every
+    coefficient system (``homology.skeleton_groups``, tabulated by s).
+    Only facets with more than m vertices can meet I in more, so they
+    are listed once.
 
     Every other core, I = ∅ included, cuts K's facets down to I: when I
     itself is one of them K_I is a simplex and has no groups, and
-    otherwise :func:`_core_groups` computes them from those facets.
+    otherwise those facets make a ``ChainComplex``, which has no groups
+    if it is a cone.
     """
     parse_coefficients(coeffs)
     n = complex.n
@@ -186,6 +188,9 @@ def hochster_decomposition(complex, coeffs="Z"):
     support, facets = complex.support, complex.facets
     m = complex.support_neighbourliness
     big = [f for f in facets if f.bit_count() > m]
+    # the nonzero groups of the full (min(s, m) - 1)-skeleton, by s
+    closed = [tuple((d, g) for d, g in skeleton_groups(s, min(s, m)).items()
+                    if not g.is_zero) for s in range(n + 1)]
     # (d, H̃^d(K_I)) for the nonzero groups, ascending in d, by mask >> 1
     groups_of = [()] * (1 << n)
     summands = []
@@ -195,37 +200,21 @@ def hochster_decomposition(complex, coeffs="Z"):
         if removable:
             groups = groups_of[(mask ^ removable) >> 1]
         elif mask and not any((f & mask).bit_count() > m for f in big):
-            # K_I is the full (min(s, m) - 1)-skeleton on I, s = |I|
-            s = mask.bit_count()
-            if s <= m:
-                continue    # K_I is the simplex on I
-            groups = ((m - 1, HomologyGroup(math.comb(s - 1, m))),)
+            groups = closed[mask.bit_count()]
         else:
             restricted = {f & mask for f in facets}
             if mask and mask in restricted:
                 continue    # K_I is the simplex on I
-            groups = _core_groups(restricted, coeffs)
+            chain = ChainComplex(restricted)    # a cone has no groups
+            groups = () if chain.apex else tuple(
+                (d, g) for d, g in chain.cohomology(coeffs).items()
+                if not g.is_zero)
         if groups:
             groups_of[bits] = groups
             shift = mask.bit_count() + 1
             summands.append(HochsterSummand(
                 mask, [(d + shift, g) for d, g in groups]))
     return summands
-
-
-def _core_groups(restricted, coeffs):
-    """The nonzero groups (d, H̃^d(K_I)) of a core, ascending in d.
-
-    ``restricted`` is the set of K's facets cut down to I; the faces of
-    K_I are their submasks (``ChainComplex``).  A cone is contractible and
-    has no groups; otherwise the groups are computed from m - 1 up, m the
-    neighbourliness read off the face counts.
-    """
-    chain = ChainComplex(restricted)
-    if chain.apex:
-        return ()
-    return tuple((d, g) for d, g in chain.cohomology(coeffs).items()
-                 if not g.is_zero)
 
 
 def _removable_vertex(mask, support, neighbourhoods):

@@ -14,7 +14,8 @@ the Smith forms of the coboundaries (``CochainCalculator``).
 
 ``ChainComplex`` is the one per-mask record: built from K's facets cut
 down to I, it holds the faces of K_I, its cone apex, dimension, support
-neighbourliness and table of integral cohomology, with no K_I built.
+neighbourliness and table of integral cohomology, with no K_I built; a
+full skeleton reads them off its largest masks and lists no face.
 ``CochainCalculator`` is a ``ChainComplex`` that also keeps the
 coboundaries, their Smith forms and its class counts; each of its
 readings takes the coefficients as an argument, so one calculator per
@@ -31,9 +32,11 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property, reduce
+from itertools import combinations
 from operator import or_
 
 from momentangle.complexes import (
+    full_skeleton_size,
     iter_submasks,
     mask_vertices,
     neighbourliness_from_counts,
@@ -150,13 +153,16 @@ class ChainComplex:
     submasks of ``masks``: a complex's ``facets``, or K's facets cut down
     to I for the full subcomplex K_I.
 
-    It holds ``support``, ``apex`` (the vertices every facet shares,
-    nonzero exactly for a cone) and the faces by degree (``levels``:
-    degree d holds the faces with d+1 vertices, sorted by mask value),
-    which every record sorts, and a simplex lists, only when first read.
-    ``dim`` and ``support_neighbourliness`` are read off the levels, and
-    the table of integral cohomology (``integral_groups``), with the
-    ``connectivity`` it fixes, is built on first use.
+    It holds ``support``, ``dim`` (the largest mask's size less one),
+    ``apex`` (the vertices every facet shares, nonzero exactly for a cone)
+    and the faces by degree (``levels``: degree d holds the faces with d+1
+    vertices, sorted by mask value), sorted only when first read.  Masks
+    spanning the full (k - 1)-skeleton on the s-vertex support
+    (``complexes.full_skeleton_size``) list no faces until then: apex is
+    the support if k = s and 0 otherwise, ``support_neighbourliness`` is
+    k and ``cohomology`` is ``skeleton_groups(s, k)``.  The table of
+    integral cohomology (``integral_groups``), with the ``connectivity``
+    it fixes, is built on first use.
     ``boundary_matrix(d)`` maps degree d to degree d-1 with alternating
     signs along ascending vertex order; the boundary of a vertex is the
     empty face, which makes homology reduced.
@@ -166,27 +172,29 @@ class ChainComplex:
         self._index = {}
         order = sorted(masks, key=int.bit_count, reverse=True)
         self.support = reduce(or_, order)
-        if order[0] == self.support:
-            # a simplex, so a cone on each of its vertices, whose faces
-            # are all the subsets of its support
-            self._faces, self.apex = None, self.support
-        else:
+        self.dim = order[0].bit_count() - 1
+        self._skeleton = full_skeleton_size(order, self.support)
+        if self._skeleton is None:
             self._faces, self.apex = _restricted_faces(order)
+        else:   # a full skeleton is a cone only as the simplex
+            simplex = self._skeleton == self.support.bit_count()
+            self.apex = self.support if simplex else 0
 
     @cached_property
     def levels(self):
         """The faces by vertex count (``face_levels``), sorted only when
-        first read; a simplex lists its support's submasks then."""
-        faces = self.__dict__.pop("_faces")
-        return face_levels(iter_submasks(self.apex) if faces is None else faces)
+        first read; a full skeleton lists them only then."""
+        if self._skeleton is None:
+            return face_levels(self.__dict__.pop("_faces"))
+        vertices = [1 << v for v in mask_vertices(self.support)]
+        return [sorted(map(sum, combinations(vertices, size)))
+                for size in range(self._skeleton + 1)]
 
     @cached_property
     def support_neighbourliness(self):
+        if self._skeleton is not None:
+            return self._skeleton
         return neighbourliness_from_counts([len(level) for level in self.levels])
-
-    @property
-    def dim(self):
-        return len(self.levels) - 2
 
     def faces(self, d):
         levels = self.levels
@@ -204,8 +212,12 @@ class ChainComplex:
     def cohomology(self, coeffs):
         """H̃^d(K) over ``coeffs`` for every d in
         ``homology_degree_window``: outside it H̃^d vanishes."""
-        return _reduced_groups(self.levels, coeffs,
-                               homology_degree_window(self), cohomology=True)
+        if self._skeleton is None:
+            return _reduced_groups(self.levels, coeffs,
+                                   homology_degree_window(self),
+                                   cohomology=True)
+        parse_coefficients(coeffs)
+        return skeleton_groups(self.support.bit_count(), self._skeleton)
 
     @cached_property
     def integral_groups(self):
@@ -224,6 +236,15 @@ class ChainComplex:
             if not group.is_zero:
                 return d - (2 if group.torsion else 1)
         return math.inf
+
+
+def skeleton_groups(s, k):
+    """H̃^* of the full (k - 1)-skeleton on s vertices, over any
+    coefficients: it has the simplex's exact cochains through degree
+    k - 1 and none above, so its one group H̃^{k-1} is C^{k-1} modulo
+    ker δ, free of rank C(s - 1, k) (0 for the simplex, k = s; for {∅},
+    s = 0, H̃^{-1} = Z)."""
+    return {k - 1: HomologyGroup(math.comb(s - 1, k) if s else 1)}
 
 
 def _restricted_faces(order):

@@ -60,13 +60,6 @@ class IntMatrix:
                 self._set(r, c, v)
 
     @classmethod
-    def from_rows(cls, rows, num_cols=None):
-        if num_cols is None:
-            num_cols = len(rows[0]) if rows else 0
-        entries = (((r, c), v) for r, row in enumerate(rows) for c, v in enumerate(row))
-        return cls(len(rows), num_cols, entries)
-
-    @classmethod
     def identity(cls, n):
         matrix = cls(n, n)
         matrix.rows = {i: {i: 1} for i in range(n)}
@@ -79,13 +72,6 @@ class IntMatrix:
         matrix.cols = {c: set(occ) for c, occ in self.cols.items()}
         return matrix
 
-    def to_rows(self):
-        rows = [[0] * self.num_cols for _ in range(self.num_rows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                rows[r][c] = v
-        return rows
-
     def get(self, r, c):
         return self.rows.get(r, {}).get(c, 0)
 
@@ -94,10 +80,6 @@ class IntMatrix:
         for r in self.cols.get(c, ()):
             col[r] = self.rows[r][c]
         return col
-
-    @property
-    def is_zero(self):
-        return not self.rows
 
     def transpose(self):
         matrix = IntMatrix(self.num_cols, self.num_rows)

@@ -23,7 +23,6 @@ import time
 import pytest
 
 from momentangle import (
-    IntMatrix,
     MembershipViolation,
     SuspensionPoint,
     boundary_simplex,
@@ -51,6 +50,7 @@ from momentangle.verify import homotopy_report, split_region_report
 from util import (
     all_complexes_on,
     fixture_complex,
+    int_matrix,
     load_fixture,
     random_antichain_complex,
     seeded,
@@ -319,7 +319,7 @@ def test_7_smith_form_and_torsion(capsys):
                     for _ in range(cols)] for _ in range(rows)]
         if trial % 5 == 0 and rows > 1:
             entries[-1] = [3 * x for x in entries[0]]  # force rank deficiency
-        A = IntMatrix.from_rows(entries)
+        A = int_matrix(entries)
         snf = smith_normal_form(A, keep_transforms=True)
         diag = snf.diagonal
         good = (snf.U @ A @ snf.V == snf.as_matrix()

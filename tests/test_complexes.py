@@ -139,15 +139,20 @@ def test_support_and_ghosts():
     assert K.support_neighbourliness == 1  # on the support, vertices are faces
 
 
+def test_skeleton_neighbourliness_lists_no_faces():
+    K = full_skeleton(20, 6)
+    assert K.support_neighbourliness == 7
+    assert "faces" not in K.__dict__ and "f_vector" not in K.__dict__
+
+
 def test_restriction_and_delete():
     c4 = cycle_complex(4)
     edge = c4.restriction(vertex_mask([1, 2]))
     assert edge.facets == (vertex_mask([1, 2]),)
     opposite = c4.restriction(vertex_mask([1, 3]))
     assert opposite.facets == (vertex_mask([1]), vertex_mask([3]))
-    assert c4.vertex_delete(4).facets == (vertex_mask([1, 2]), vertex_mask([2, 3]))
-    with pytest.raises(ValueError):
-        c4.vertex_delete(9)
+    deleted = c4.restriction(full_mask(4) ^ vertex_mask([4]))
+    assert deleted.facets == (vertex_mask([1, 2]), vertex_mask([2, 3]))
 
 
 def test_join_requires_disjoint_supports():

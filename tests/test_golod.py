@@ -591,6 +591,23 @@ def test_cones_never_sort_their_faces(monkeypatch):
     assert all("levels" not in record.__dict__ for record in cones)
 
 
+def test_skeleton_verdict_lists_no_faces(monkeypatch):
+    """Every K_I of a full skeleton is one, and the certificates settle
+    each pair by its apex or its connectivity: no record of the pair
+    engine lists its faces."""
+    records = []
+    calculator = golod.CochainCalculator
+
+    def recording(masks):
+        records.append(calculator(masks))
+        return records[-1]
+
+    monkeypatch.setattr(golod, "CochainCalculator", recording)
+    assert splitting_verdict(full_skeleton(12, 3)).outcome == "CoH"
+    assert records
+    assert all("levels" not in record.__dict__ for record in records)
+
+
 def test_verdicts_without_the_hurewicz_flag_compute_no_connectivity(monkeypatch):
     # connectivity only feeds DimBelowConnectivity, which needs the full
     # 2-skeleton on both sides: a cycle or a 1-skeleton never has it

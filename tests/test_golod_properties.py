@@ -174,16 +174,26 @@ def assert_engine_reads_the_restriction(K, calculator_masks, masks=None):
 @st.composite
 def ghosted_complexes(draw):
     """A seeded complex on n = 1..7 vertices, drawn by
-    ``random_antichain_complex`` or by ``random_complex`` (with a full
-    skeleton, so that windows start above -1), restricted away from a
-    drawn set of ghost vertices, and three masks for the calculators."""
+    ``random_antichain_complex``, by ``random_complex`` (with a full
+    skeleton, so that windows start above -1), or as the full
+    (k - 1)-skeleton with up to two masks of more than k vertices above
+    it (so that many K_I are full skeleta and many are not), restricted
+    away from a drawn set of ghost vertices, and three masks for the
+    calculators."""
     n = draw(st.integers(1, 7))
     seed = draw(st.integers(0, 10 ** 6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("antichain", "random", "skeleton")))
+    if kind == "antichain":
         K = random_antichain_complex(seeded(seed), n)
-    else:
+    elif kind == "random":
         K = random_complex(n, draw(st.integers(0, min(n, 3))),
                            draw(st.sampled_from((0.3, 0.6))), seed)
+    else:
+        k = draw(st.integers(0, n))
+        above = draw(st.lists(st.integers(0, (1 << n) - 1).map(
+            lambda m: m << 1), max_size=2))
+        K = SimplicialComplex(n, full_skeleton(n, k - 1).facets + tuple(
+            f for f in above if f.bit_count() > k))
     ghosts = vertex_mask(draw(st.sets(st.integers(1, n), max_size=2)))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1).map(lambda m: m << 1),
                           min_size=3, max_size=3))

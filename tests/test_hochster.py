@@ -14,7 +14,6 @@ from momentangle import (
     cycle_complex,
     full_mask,
     full_skeleton,
-    hochster,
     hochster_decomposition,
     koszul_oracle,
     new_complex,
@@ -139,29 +138,26 @@ def test_scan_builds_only_the_cores(monkeypatch):
     no edge meets a vertex or a non-edge in two vertices, so those read
     their groups off the closed form: a vertex is a simplex, and a
     non-edge is two points, H̃^0 = Z in degree 0 + 3.  Only the empty set
-    and the whole cycle compute groups, and none of them builds a
+    and the whole cycle build a chain complex, and none of them builds a
     restriction."""
     c5 = cycle_complex(5)
     assert c5.is_flag   # cached, so the flag test's restriction is not counted
-    computed, restricted = [], []
-    core_groups = hochster._core_groups
+    built, restricted = [], []
+    init = ChainComplex.__init__
     restriction = SimplicialComplex.restriction
 
-    def recording_core(facets, coeffs):
-        support = 0
-        for f in facets:
-            support |= f
-        computed.append(support)
-        return core_groups(facets, coeffs)
+    def recording(self, masks):
+        init(self, masks)
+        built.append(self.support)
 
     def recording_restriction(self, mask):
         restricted.append(mask)
         return restriction(self, mask)
 
-    monkeypatch.setattr(hochster, "_core_groups", recording_core)
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
     monkeypatch.setattr(SimplicialComplex, "restriction", recording_restriction)
     summands = {s.subset_mask: s for s in hochster_decomposition(c5, "Z")}
-    assert sorted(computed) == [0, full_mask(5)]
+    assert sorted(built) == [0, full_mask(5)]
     assert restricted == []
     for v in range(1, 6):
         non_edge = vertex_mask([v, (v + 1) % 5 + 1])

@@ -1,5 +1,6 @@
 """Reduced (co)homology, cochain coordinates, induced maps, connectivity."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from momentangle import (
     vertex_mask,
 )
 from momentangle import homology
+from momentangle.complexes import full_skeleton_size
 from momentangle.homology import (
     DEFAULT_BATTERY,
     homology_degree_window,
@@ -41,11 +43,14 @@ from momentangle.linalg import (
 )
 
 from util import (
+    brute_neighbourliness,
+    dense_rows,
     differential_squares_to_zero,
     fixture_complex,
     is_cocycle,
     octahedron_boundary,
     random_antichain_complex,
+    record_by_listing,
     seeded,
 )
 
@@ -118,6 +123,63 @@ def test_chain_complex_structure():
     for _ in range(25):
         K = random_antichain_complex(rng, rng.randint(1, 6))
         assert differential_squares_to_zero(ChainComplex(K.facets))
+
+
+def skeleton_masks(vertices, k):
+    """The k-subsets of ``vertices``, as masks: the facets of the full
+    (k - 1)-skeleton on them."""
+    return [vertex_mask(c) for c in itertools.combinations(vertices, k)]
+
+
+def assert_reads_as_listed(masks, skeleton, n=6):
+    """``full_skeleton_size`` of ``masks`` is ``skeleton``; every reading
+    of ``ChainComplex(masks)`` equals the listed path, and a full skeleton
+    lists its faces only when ``levels`` is read.  The complex on
+    {1..n} with those masks reads the same support neighbourliness."""
+    order = sorted(masks, key=int.bit_count, reverse=True)
+    want = record_by_listing(masks)
+    assert full_skeleton_size(order, want["support"]) == skeleton, masks
+    chain = ChainComplex(masks)
+    got = {"support": chain.support, "apex": chain.apex, "dim": chain.dim,
+           "support_neighbourliness": chain.support_neighbourliness,
+           "cohomology": {coeffs: chain.cohomology(coeffs)
+                          for coeffs in DEFAULT_BATTERY}}
+    assert chain.integral_groups == want["cohomology"]["Z"], masks
+    K = SimplicialComplex(n, masks)
+    neighbourliness = K.support_neighbourliness
+    if skeleton is not None:
+        assert "faces" not in K.__dict__ and "f_vector" not in K.__dict__
+    assert neighbourliness == brute_neighbourliness(K, K.support), masks
+    assert chain.connectivity == connectivity_certificate(K)[0], masks
+    assert ("levels" in chain.__dict__) == (skeleton is None), masks
+    got["levels"] = chain.levels
+    assert got == want, masks
+
+
+def test_full_skeleton_rule_table():
+    """The full k-skeleton's masks on s vertices, 0 ≤ k ≤ s ≤ 6, {∅}
+    (s = 0) and the simplices (k = s) among them."""
+    for s in range(7):
+        for k in range(s + 1):
+            assert_reads_as_listed(skeleton_masks(range(1, s + 1), k), k)
+
+
+def test_full_skeleton_rule_edges():
+    """A top mask removed, or one repeated in its place, is no skeleton;
+    a mask added above one is none unless it is the whole support, and
+    ghost vertices change nothing."""
+    for s in range(2, 7):
+        vertices = range(1, s + 1)
+        for k in range(1, s):
+            top = skeleton_masks(vertices, k)
+            if k > 1:   # with k = 1, a removed vertex leaves the support
+                assert_reads_as_listed(top[1:], None)
+                assert_reads_as_listed(top[1:] + top[-1:], None)
+            assert_reads_as_listed(top + [vertex_mask(range(1, k + 2))],
+                                   s if k + 1 == s else None)
+            # 1, 3, 6 and 9 are ghosts of the complex on ten vertices
+            ghosted = (2, 4, 5, 7, 8, 10)[:s]
+            assert_reads_as_listed(skeleton_masks(ghosted, k), k, n=10)
 
 
 def test_universal_coefficients_rank_bookkeeping():
@@ -216,7 +278,7 @@ def _solve_route(calc, d, p):
     F_p that solve against the kernel basis per coboundary image and per
     vector: the route the free-column readout replaced."""
     dim_d = len(calc.faces(d))
-    delta_rows = calc.coboundary_matrix(d).to_rows()
+    delta_rows = dense_rows(calc.coboundary_matrix(d))
     one, zero = (1, 0) if p else (Fraction(1), Fraction(0))
     kernel = (field_nullspace(delta_rows, p) if delta_rows else
               [[one if i == j else zero for i in range(dim_d)]

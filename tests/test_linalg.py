@@ -15,7 +15,7 @@ from momentangle import (
 )
 from momentangle.linalg import extended_gcd, field_echelon, field_solve
 
-from util import seeded
+from util import dense_rows, int_matrix, seeded
 
 
 def random_int_matrix(rng, max_dim=8, bound=9):
@@ -32,7 +32,7 @@ def random_int_matrix(rng, max_dim=8, bound=9):
 
 
 def sympy_diagonal(matrix):
-    rows = matrix.to_rows()
+    rows = dense_rows(matrix)
     if not rows or not rows[0]:
         return []
     factors = invariant_factors(sympy.Matrix(rows))
@@ -49,14 +49,14 @@ def test_extended_gcd():
 
 
 def test_int_matrix_basics():
-    A = IntMatrix.from_rows([[1, 2], [0, -3]])
+    A = int_matrix([[1, 2], [0, -3]])
     assert A.get(0, 1) == 2 and A.get(1, 0) == 0
-    assert A.to_rows() == [[1, 2], [0, -3]]
-    assert A.transpose().to_rows() == [[1, 0], [2, -3]]
+    assert dense_rows(A) == [[1, 2], [0, -3]]
+    assert dense_rows(A.transpose()) == [[1, 0], [2, -3]]
     assert A.column(1) == [2, -3]
     assert (A @ IntMatrix.identity(2)) == A
     assert A.apply([1, 1]) == [3, -3]
-    assert IntMatrix(2, 2).is_zero
+    assert not IntMatrix(2, 2).rows
     with pytest.raises(IndexError):
         IntMatrix(1, 1, {(0, 1): 5})
     with pytest.raises(ValueError):
@@ -75,8 +75,8 @@ def test_matmul_matches_dense_arithmetic():
                 if v:
                     B_entries[r, c] = v
         B = IntMatrix(A.num_cols, k, B_entries)
-        product = (A @ B).to_rows()
-        ar, br = A.to_rows(), B.to_rows()
+        product = dense_rows(A @ B)
+        ar, br = dense_rows(A), dense_rows(B)
         for i in range(A.num_rows):
             for j in range(k):
                 assert product[i][j] == sum(
@@ -84,7 +84,7 @@ def test_matmul_matches_dense_arithmetic():
 
 
 def test_smith_known_diagonal():
-    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    A = int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_normal_form(A).diagonal == [2, 2, 156]
 
 

@@ -3,7 +3,7 @@
 Hypothesis draws small integer matrices, among them 1×k and k×1 shapes,
 shapes with a zero dimension, and matrices with whole zero rows and
 columns.  The Smith diagonal is checked against sympy's invariant
-factors; the matrix operations against dense arithmetic on ``to_rows``;
+factors; the matrix operations against dense arithmetic on ``util.dense_rows``;
 and the occupancy invariant of ``IntMatrix`` (``cols`` lists exactly the
 rows holding an entry of each column, no entry is zero, no row dict or
 column set is empty) after every elementary step of an elimination.
@@ -20,6 +20,7 @@ from momentangle import IntMatrix, SimplicialComplex, smith_normal_form
 from momentangle.homology import ChainComplex
 
 from test_linalg import sympy_diagonal
+from util import dense_rows, int_matrix
 
 # every in-place operation the eliminations run
 STEPS = ("row_axpy", "col_axpy", "swap_rows", "swap_cols",
@@ -37,7 +38,7 @@ def int_matrices(draw, rows=None, cols=None, entry=st.integers(-9, 9)):
             rows, cols = (1, cols) if draw(st.booleans()) else (rows, 1)
     zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
-    return IntMatrix.from_rows(
+    return int_matrix(
         [[0 if r in zero_rows or c in zero_cols else draw(entry) for c in range(cols)]
          for r in range(rows)],
         num_cols=cols,
@@ -77,20 +78,20 @@ def test_smith_diagonal_is_sympy(matrix):
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(products())
-@example((IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [-1]])))
+@example((int_matrix([[1, 1]]), int_matrix([[1], [-1]])))
 @example((IntMatrix(0, 3), IntMatrix(3, 2)))
 @example((IntMatrix(2, 0), IntMatrix(0, 3)))
 def test_matrix_operations_match_dense_arithmetic(pair):
     a, b = pair
     (m, k), n = (a.num_rows, a.num_cols), b.num_cols
-    rows_a, rows_b = a.to_rows(), b.to_rows()
+    rows_a, rows_b = dense_rows(a), dense_rows(b)
     product = a @ b
     assert_occupancy(product)
     assert (product.num_rows, product.num_cols) == (m, n)
-    assert product.to_rows() == dense_product(rows_a, rows_b, (m, k, n))
+    assert dense_rows(product) == dense_product(rows_a, rows_b, (m, k, n))
     transposed = a.transpose()
     assert_occupancy(transposed)
-    assert transposed.to_rows() == [[rows_a[r][c] for r in range(m)]
+    assert dense_rows(transposed) == [[rows_a[r][c] for r in range(m)]
                                      for c in range(k)]
     assert transposed.transpose() == a
     vector = [(-1) ** c * (c + 1) for c in range(k)]
@@ -100,11 +101,11 @@ def test_matrix_operations_match_dense_arithmetic(pair):
         assert a.column(c) == [row[c] for row in rows_a]
     identity = IntMatrix.identity(k)
     assert_occupancy(identity)
-    assert identity.to_rows() == [[int(i == j) for j in range(k)] for i in range(k)]
+    assert dense_rows(identity) == [[int(i == j) for j in range(k)] for i in range(k)]
     assert a @ identity == a and IntMatrix.identity(m) @ a == a
-    assert a == IntMatrix.from_rows(rows_a, num_cols=k)
-    assert a != IntMatrix.from_rows(rows_a, num_cols=k + 1)
-    if not a.is_zero:
+    assert a == int_matrix(rows_a, num_cols=k)
+    assert a != int_matrix(rows_a, num_cols=k + 1)
+    if a.rows:
         r, row = next(iter(a.rows.items()))
         c = next(iter(row))
         assert a != IntMatrix(m, k, {(r, c): row[c] + 1})
@@ -113,7 +114,7 @@ def test_matrix_operations_match_dense_arithmetic(pair):
 def test_constructor_drops_zero_entries():
     matrix = IntMatrix(2, 3, {(0, 1): 0, (1, 2): 4})
     assert_occupancy(matrix)
-    assert matrix.rows == {1: {2: 4}} and matrix == IntMatrix.from_rows(
+    assert matrix.rows == {1: {2: 4}} and matrix == int_matrix(
         [[0, 0, 0], [0, 0, 4]])
 
 

@@ -5,9 +5,12 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from momentangle import (
     HochsterSummand,
+    IntMatrix,
     SimplicialComplex,
     enumerate_balanced_splits,
     flag_from_graph,
@@ -18,11 +21,14 @@ from momentangle import (
     split_center,
     vertex_mask,
 )
+from momentangle.complexes import neighbourliness_from_counts
 from momentangle.golod import TheoremVerdict, iota_pair, pair_certificates
 from momentangle.hochster import _removable_vertex, wedge_model
 from momentangle.homology import (
+    DEFAULT_BATTERY,
     HomologyGroup,
     _boundary_matrix,
+    _restricted_faces,
     connectivity_certificate,
     face_levels,
     homology_degree_window,
@@ -199,9 +205,27 @@ def prune_by_every_facet(faces):
     return tuple(sorted(facets))
 
 
+def int_matrix(rows, num_cols=None):
+    """An ``IntMatrix`` from dense rows; ``num_cols`` (by default the
+    length of the first row) shapes a matrix with no rows."""
+    if num_cols is None:
+        num_cols = len(rows[0]) if rows else 0
+    return IntMatrix(len(rows), num_cols, (((r, c), v) for r, row in enumerate(rows)
+                                          for c, v in enumerate(row)))
+
+
+def dense_rows(matrix):
+    """The entries of an ``IntMatrix`` as dense rows."""
+    rows = [[0] * matrix.num_cols for _ in range(matrix.num_rows)]
+    for r, row in matrix.rows.items():
+        for c, v in row.items():
+            rows[r][c] = v
+    return rows
+
+
 def differential_squares_to_zero(chain):
     """Whether ∂_d ∘ ∂_{d+1} = 0 in every degree of a ``ChainComplex``."""
-    return all((chain.boundary_matrix(d) @ chain.boundary_matrix(d + 1)).is_zero
+    return all(not (chain.boundary_matrix(d) @ chain.boundary_matrix(d + 1)).rows
                for d in range(-1, chain.dim + 1))
 
 
@@ -343,6 +367,25 @@ def record_by_restriction(complex, mask):
             "integral_groups": reduced_cohomology(
                 sub, "Z", homology_degree_window(sub)),
             "connectivity": connectivity_certificate(sub)[0]}
+
+
+def record_by_listing(masks):
+    """What ``ChainComplex(masks)`` reads, each reading off its listed
+    faces: the faces and apex of ``_restricted_faces``, the dimension and
+    support neighbourliness off the face levels, and the groups over each
+    battery coefficient system over ``homology_degree_window`` from every
+    boundary matrix (``reduced_groups_by_matrices``)."""
+    order = sorted(masks, key=int.bit_count, reverse=True)
+    faces, apex = _restricted_faces(order)
+    levels = face_levels(faces)
+    m = neighbourliness_from_counts([len(level) for level in levels])
+    window = (max(m - 1, -1), len(levels) - 2)
+    return {"support": reduce(or_, order), "apex": apex,
+            "dim": len(levels) - 2, "support_neighbourliness": m,
+            "cohomology": {coeffs: reduced_groups_by_matrices(
+                levels, coeffs, window, cohomology=True)
+                for coeffs in DEFAULT_BATTERY},
+            "levels": levels}
 
 
 def cross_product_matrix_by_cochains(pair_map, d):
