@@ -12,14 +12,24 @@ The empty subset contributes H̃^{-1} of the empty complex, which is the
 unit in degree 0; ghost vertices contribute genuine circle factors.  No
 special cases: both fall out of the reduced chain complex.
 
-Most subsets cost no homology at all.  When I holds a ghost vertex, or a
-vertex dominated in the flag complex K_I (its link is a cone), deleting
-that vertex keeps the homotopy type, so I takes the groups of the smaller
-subset, which the scan in increasing mask order has already computed.
-Of the strong-collapse cores left, most are read off K's support
-neighbourliness m: when no facet meets I in more than m vertices, K_I is
-the full (min(s, m) - 1)-skeleton on the s vertices of I, a simplex for
-s ≤ m and otherwise a complex with the one group H̃^{m-1} = Z^{C(s-1, m)},
+Most subsets cost no homology at all.  A ghost vertex of I changes
+nothing, so I takes the groups of I without it.  On a flag complex the
+link of a vertex v in K_I is the full subcomplex K_L, L = N(v) ∩ I, and
+K_I = K_{I∖v} ∪ v * K_L with K_L as the intersection.  The augmented
+sequence 0 → C(K_L) → C(K_{I∖v}) ⊕ C(v * K_L) → C(K_I) → 0 splits in
+each degree, so it stays exact under Hom(-, k) for the scan's
+coefficients k, and the cone v * K_L is acyclic.  So the Mayer–Vietoris
+sequence gives two vertex rules: if the link K_L is acyclic, K_I has the
+groups of K_{I∖v}, and if the deletion K_{I∖v} is acyclic, the
+connecting map gives H̃^d(K_I) = H̃^{d-1}(K_L).  L and I∖v are smaller
+masks than I, so the scan in increasing mask order has their groups
+already.  The empty set has H̃^{-1}(∅) = Z, so an
+isolated vertex is never dropped.  A dominated vertex (Barmak–Minian)
+has a cone for its link, so the link rule covers every strong collapse.
+Of the cores left, most are read off K's support neighbourliness m: when
+no facet meets I in more than m vertices, K_I is the full
+(min(s, m) - 1)-skeleton on the s vertices of I, a simplex for s ≤ m
+and otherwise a complex with the one group H̃^{m-1} = Z^{C(s-1, m)},
 free over every coefficient system (``homology.skeleton_groups``).  This
 settles every core of a skeleton, and the independent sets of a flag
 complex (m = 1).  The other cores read K_I straight off K's facets cut
@@ -156,10 +166,20 @@ def hochster_decomposition(complex, coeffs="Z"):
     """All subsets' shifted cohomology contributions, sorted by mask.
 
     One HochsterSummand per I ⊆ [n] with a nontrivial group.  Subsets are
-    scanned in increasing mask order, keeping each one's unshifted groups.
-    A subset with a removable vertex v (see :func:`_removable_vertex`)
-    has K_I ≃ K_{I∖v}, so it takes the groups already kept for the
-    smaller mask.  The other subsets, the cores, lie on the support.
+    scanned in increasing mask order, keeping each one's unshifted groups,
+    and a subset is settled by the first of these rules that applies:
+
+    1. a ghost vertex v of I gives I the groups of I∖v;
+    2. on a flag complex, a vertex v whose link K_L, L = N(v) ∩ I, has no
+       groups gives I the groups of I∖v;
+    3. failing that, a vertex v whose deletion K_{I∖v} has no groups gives
+       I the groups of its link shifted up one degree.
+
+    Rules 2 and 3 are the Mayer–Vietoris sequence of K_I = K_{I∖v} ∪
+    v * K_L (see the module docstring).  Any vertex that qualifies gives
+    isomorphic groups, and ``HomologyGroup`` stores them canonically, so
+    the answer does not depend on which vertex is taken.  The other
+    subsets, the cores, lie on the support.
 
     A nonempty core I of s vertices that no facet meets in more than m
     vertices, m = ``complex.support_neighbourliness``, takes a closed
@@ -181,10 +201,10 @@ def hochster_decomposition(complex, coeffs="Z"):
     if n > MAX_DECOMPOSITION_VERTICES:
         raise ValueError(f"decomposition over 2^{n} subsets refused "
                          f"(limit {MAX_DECOMPOSITION_VERTICES} vertices)")
-    neighbourhoods = None
-    if complex.is_flag:
-        neighbourhoods = {1 << v: closed for v, closed
-                          in enumerate(complex.closed_neighbourhoods)}
+    neighbours = None
+    if complex.is_flag:     # open neighbourhoods N(v), by vertex bit
+        neighbours = {1 << v: closed & ~(1 << v) for v, closed
+                      in enumerate(complex.closed_neighbourhoods)}
     support, facets = complex.support, complex.facets
     m = complex.support_neighbourliness
     big = [f for f in facets if f.bit_count() > m]
@@ -196,9 +216,12 @@ def hochster_decomposition(complex, coeffs="Z"):
     summands = []
     for bits in range(1 << n):
         mask = bits << 1
-        removable = _removable_vertex(mask, support, neighbourhoods)
-        if removable:
-            groups = groups_of[(mask ^ removable) >> 1]
+        ghosts = mask & ~support
+        if ghosts:
+            groups = groups_of[(mask ^ (ghosts & -ghosts)) >> 1]
+        elif neighbours is not None and (settled := _vertex_rule(
+                mask, neighbours, groups_of)) is not None:
+            groups = settled
         elif mask and not any((f & mask).bit_count() > m for f in big):
             groups = closed[mask.bit_count()]
         else:
@@ -217,35 +240,28 @@ def hochster_decomposition(complex, coeffs="Z"):
     return summands
 
 
-def _removable_vertex(mask, support, neighbourhoods):
-    """The bit of a vertex v with K_I ≃ K_{I∖v} for I = ``mask``, or 0.
-
-    A ghost vertex (off the support) is removable in any complex, since
-    K_I and K_{I∖v} are equal.  On a flag complex v is also removable when
-    some other w in I has N[v] ∩ I ⊆ N[w]: then every facet of K_I through
-    v contains w, so v is dominated and deleting it is a strong collapse
-    (Barmak–Minian).  ``neighbourhoods`` maps a vertex bit to its closed
-    neighbourhood N[v], and is ``None`` for a non-flag complex.
+def _vertex_rule(mask, neighbours, groups_of):
+    """The groups of the flag complex K_I, I = ``mask``, by a vertex rule,
+    or ``None``: those of I∖v for a v whose link K_L, L = N(v) ∩ I, is
+    acyclic, and failing that those of K_L shifted up one degree for a v
+    whose deletion K_{I∖v} is acyclic.  ``groups_of`` holds the groups of
+    the smaller masks L and I∖v, and ``neighbours`` maps a vertex bit to
+    its open neighbourhood N(v).
     """
-    ghosts = mask & ~support
-    if ghosts:
-        return ghosts & -ghosts
-    if neighbourhoods is None:
-        return 0
     rest = mask
     while rest:
         bit = rest & -rest
         rest ^= bit
-        # the common neighbours of N[v] ∩ I, narrowed until only v is left
-        common = neighbourhoods[bit] & mask
-        others = common ^ bit
-        while others and common != bit:
-            u = others & -others
-            others ^= u
-            common &= neighbourhoods[u]
-        if common != bit:
-            return bit
-    return 0
+        if not groups_of[(neighbours[bit] & mask) >> 1]:
+            return groups_of[(mask ^ bit) >> 1]
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if not groups_of[(mask ^ bit) >> 1]:
+            return tuple((d + 1, g)
+                         for d, g in groups_of[(neighbours[bit] & mask) >> 1])
+    return None
 
 
 def poincare_series(complex, field):

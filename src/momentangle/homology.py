@@ -151,7 +151,7 @@ def _boundary_matrix(sources, target_index):
 class ChainComplex:
     """The reduced chain complex of the complex whose faces are the
     submasks of ``masks``: a complex's ``facets``, or K's facets cut down
-    to I for the full subcomplex K_I.
+    to I for the full subcomplex K_I.  No masks at all make {∅}.
 
     It holds ``support``, ``dim`` (the largest mask's size less one),
     ``apex`` (the vertices every facet shares, nonzero exactly for a cone)
@@ -170,7 +170,7 @@ class ChainComplex:
 
     def __init__(self, masks):
         self._index = {}
-        order = sorted(masks, key=int.bit_count, reverse=True)
+        order = sorted(masks, key=int.bit_count, reverse=True) or [0]
         self.support = reduce(or_, order)
         self.dim = order[0].bit_count() - 1
         self._skeleton = full_skeleton_size(order, self.support)

@@ -1,5 +1,6 @@
 """Command line behaviour: reports, determinism, exit codes."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -192,6 +193,26 @@ def test_hochster_stdout_is_pinned(capsys):
         code, out, _ = run_cli(capsys, "hochster", CYCLE4, "--format", fmt)
         assert code == 0
         assert out == expected.replace("<input>", source)
+
+
+# sha256 of ``hochster`` stdout on the flag complex of a seeded G(14, 1/2),
+# with the input path written as "<input>"
+HOCHSTER_GNP14_SHA256 = {
+    (1, "Z"): "e4cb2fbe3328883e78c7c07476b8ab2d7fe0c8bf202c03306447ea6530134df0",
+    (1, "F2"): "0b1d64b5e7c654334fc0916bb56ca60f463997d8fc6604a126f6fddb8c51903a",
+    (2, "Z"): "e8a56f39826a2c453f0d68c62f4e75bb79a3ae5b6b94f8086518081b012369ec",
+    (2, "F2"): "846509a450ca9a67446849c70ec38fe208103a73116e1dc751f2b155ba331d2a",
+}
+
+
+def test_hochster_stdout_is_byte_identical_on_flag_complexes(capsys, tmp_path):
+    for (seed, coeffs), digest in HOCHSTER_GNP14_SHA256.items():
+        path = write_complex(tmp_path, f"gnp{seed}.json", 14,
+                             gnp_flag(seeded(seed), 14, 0.5).to_dict()["facets"])
+        code, out, _ = run_cli(capsys, "hochster", path, "--coeffs", coeffs)
+        assert code == 0
+        out = out.replace(json.dumps(path), '"<input>"')
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (seed, coeffs)
 
 
 def test_golod_report(capsys):

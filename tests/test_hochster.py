@@ -28,7 +28,14 @@ from momentangle import (
     wedge_model,
 )
 
-from util import fixture_complex, gnp_flag, random_antichain_complex, seeded
+from util import (
+    fixture_complex,
+    gnp_flag,
+    octahedron_boundary,
+    random_antichain_complex,
+    removable_vertex,
+    seeded,
+)
 
 UNIT = {0: 1}
 
@@ -103,15 +110,16 @@ def test_decomposition_torsion_flag():
 def test_decomposition_matches_full_range_cohomology():
     """Each summand equals the shifted full-range cohomology of its
     restriction; cones and windowed-out degrees contribute nothing, and a
-    subset with a ghost or dominated vertex reuses a smaller subset's
-    groups without changing them."""
+    subset settled by a vertex rule (a ghost vertex, an acyclic link or an
+    acyclic deletion) reads a smaller subset's groups without changing
+    them."""
     rng = seeded(35)
     corpus = [random_antichain_complex(rng, rng.randint(1, 6)) for _ in range(6)]
     corpus += [random_complex(6, floor, 0.5, seed)
                for floor in (2, 3) for seed in range(3)]
     rp2 = fixture_complex("rp2.json")
     corpus.append(rp2)   # Z torsion at the top
-    # flag complexes, where dominated vertices are removed
+    # flag complexes, where the link and deletion rules apply
     corpus += [gnp_flag(rng, n, p) for n, p in ((6, 0.5), (7, 0.6), (8, 0.4),
                                                 (9, 0.5), (10, 0.3))]
     corpus.append(gnp_flag(rng, 8, 0.6).restriction(vertex_mask([1, 2, 4, 5, 7])))
@@ -132,14 +140,16 @@ def test_decomposition_matches_full_range_cohomology():
 
 
 def test_scan_builds_only_the_cores(monkeypatch):
-    """On the five-cycle, only the empty set, the vertices, the non-edges
-    and the whole cycle lack a removable vertex; every other subset
-    reuses the groups of a smaller one.  The cycle is 1-neighbourly and
-    no edge meets a vertex or a non-edge in two vertices, so those read
-    their groups off the closed form: a vertex is a simplex, and a
-    non-edge is two points, H̃^0 = Z in degree 0 + 3.  Only the empty set
-    and the whole cycle build a chain complex, and none of them builds a
-    restriction."""
+    """On the five-cycle, only the empty set builds a chain complex, and
+    no subset builds a restriction.  A subset with a vertex whose link is
+    acyclic takes the groups of the subset without it.  The empty set, the
+    vertices, the non-edges and the whole cycle have no such vertex: a
+    vertex's link in them is empty, with H̃^{-1}(∅) = Z, or two points.
+    A vertex is a simplex, read off the closed form.  A non-edge is two
+    points: deleting either leaves a point, which is acyclic, so it takes
+    the empty link's H̃^{-1} = Z shifted up to H̃^0, in degree 0 + 3.  The
+    whole cycle's deletions are paths, so it takes the two-point link's
+    H̃^0 = Z shifted up to H̃^1."""
     c5 = cycle_complex(5)
     assert c5.is_flag   # cached, so the flag test's restriction is not counted
     built, restricted = [], []
@@ -157,11 +167,79 @@ def test_scan_builds_only_the_cores(monkeypatch):
     monkeypatch.setattr(ChainComplex, "__init__", recording)
     monkeypatch.setattr(SimplicialComplex, "restriction", recording_restriction)
     summands = {s.subset_mask: s for s in hochster_decomposition(c5, "Z")}
-    assert sorted(built) == [0, full_mask(5)]
+    assert sorted(built) == [0]
     assert restricted == []
     for v in range(1, 6):
         non_edge = vertex_mask([v, (v + 1) % 5 + 1])
         assert summands[non_edge].shifted_groups == ((3, HomologyGroup(1)),)
+
+
+def scan_with_records(monkeypatch, K, coeffs):
+    """The scan's summands, and the supports of the ``ChainComplex``
+    records it builds."""
+    built = []
+    init = ChainComplex.__init__
+
+    def recording(self, masks):
+        init(self, masks)
+        built.append(self.support)
+
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    summands = hochster_decomposition(K, coeffs)
+    monkeypatch.undo()
+    return summands, built
+
+
+def assert_summands_are_the_restrictions(K, summands, coeffs):
+    found = {s.subset_mask: list(s.shifted_groups) for s in summands}
+    for mask in range(0, full_mask(K.n) + 1, 2):
+        shift = mask.bit_count() + 1
+        full = reduced_cohomology(K.restriction(mask), coeffs)
+        expected = [(d + shift, g) for d, g in sorted(full.items())
+                    if not g.is_zero]
+        assert found.get(mask, []) == expected, (K.facets, mask)
+
+
+@pytest.mark.parametrize("K", [cycle_complex(n) for n in range(4, 10)]
+                         + [octahedron_boundary()],
+                         ids=[f"C{n}" for n in range(4, 10)] + ["octahedron"])
+def test_cycles_and_the_octahedron_build_only_the_empty_record(
+        monkeypatch, K):
+    """Every nonempty subset of a flag cycle or of the octahedral 2-sphere
+    is settled by a vertex rule or the closed form: a path or a cone is
+    acyclic, so a deletion shifts its vertex's link up one degree."""
+    assert K.is_flag
+    summands, built = scan_with_records(monkeypatch, K, "Z")
+    assert built == [0]
+    assert_summands_are_the_restrictions(K, summands, "Z")
+
+
+def test_link_rule_settles_a_core_with_no_dominated_vertex(monkeypatch):
+    """In the seeded flag complex K below no vertex is dominated, and no
+    vertex deletion is acyclic.  Vertex 2's link is the path 1-6-4-3,
+    acyclic but not a cone, so K takes the groups of K without 2 and
+    builds no record of its own: the scan builds three, for ∅ and two
+    smaller cores."""
+    K = gnp_flag(seeded(13), 7, 0.4)
+    whole = full_mask(7)
+    assert K.is_flag and K.support == whole
+    neighbourhoods = {1 << v: closed
+                      for v, closed in enumerate(K.closed_neighbourhoods)}
+    assert removable_vertex(whole, whole, neighbourhoods) == 0
+    link = neighbourhoods[1 << 2] & ~(1 << 2)
+    assert link == vertex_mask([1, 3, 4, 6])
+    assert not K.restriction(link).is_cone
+    assert all(g.is_zero for g in reduced_cohomology(
+        K.restriction(link), "Z").values())
+    for v in range(1, 8):
+        deletion = K.restriction(whole ^ 1 << v)
+        assert any(not g.is_zero
+                   for g in reduced_cohomology(deletion, "Z").values())
+    summands, built = scan_with_records(monkeypatch, K, "Z")
+    assert len(built) == 3 and whole not in built
+    assert sorted(built) == [0, vertex_mask([1, 2, 4, 5, 7]),
+                             vertex_mask([2, 3, 5, 6, 7])]
+    assert_summands_are_the_restrictions(K, summands, "Z")
 
 
 def test_skeleton_scan_builds_one_chain_complex(monkeypatch):

@@ -1,16 +1,24 @@
 """Property tests: the Hochster scan against other routes.
 
-The scan gives a subset with a ghost or dominated vertex the groups of
-the smaller subset.  Hypothesis draws flag complexes of graphs on at most
-seven vertices, some with ghost vertices, and checks the scan two ways:
-its series against the Koszul oracle, which shares no code with it, and
-its summands under a relabelling of the vertices, which changes which
-vertex each subset drops.
+The scan settles a subset by three vertex rules before it computes any
+homology.  A ghost vertex is dropped.  On a flag complex the link of v
+in K_I is K_L, L = N(v) ∩ I, and the Mayer–Vietoris sequence of
+K_I = K_{I∖v} ∪ v * K_L gives the other two: a vertex with an acyclic
+link gives I the groups of I∖v, and otherwise a vertex with an acyclic
+deletion gives I the link's groups shifted up one degree.  Hypothesis
+draws flag complexes of graphs on at most seven vertices, some with
+ghost vertices, and checks the scan two ways: its series against the
+Koszul oracle, which shares no code with it, and its summands under a
+relabelling of the vertices, which changes which vertex each subset
+settles by.
 
 Every other subset takes the closed form of a full skeleton, or reads
 its faces off K's facets cut down to it.  That is checked against the
 restricted complexes: summand by summand against
-``hochster_by_restriction``, on skeleta with facets added above them and
+``hochster_by_restriction``, which drops only ghost and dominated
+vertices (strong collapses) and builds every other subset's restricted
+complex, so it shares neither the vertex rules nor the closed forms, on
+skeleta with facets added above them and
 neighbourly random complexes as well as flag complexes, and mask by mask
 for the faces, the cone test and the neighbourliness read off the face
 counts.  Runs are derandomized, so every run draws the same examples.

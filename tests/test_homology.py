@@ -125,6 +125,21 @@ def test_chain_complex_structure():
         assert differential_squares_to_zero(ChainComplex(K.facets))
 
 
+@pytest.mark.parametrize("record", [ChainComplex, CochainCalculator])
+def test_no_masks_make_the_empty_complex(record):
+    """An empty mask iterable is {∅}, as an empty facet list is in
+    ``SimplicialComplex``: support 0 and H̃^{-1} = Z."""
+    chain = record([])
+    assert (chain.support, chain.dim, chain.apex) == (0, -1, 0)
+    assert chain.levels == [[0]]
+    for coeffs in DEFAULT_BATTERY:
+        assert chain.cohomology(coeffs) == {-1: HomologyGroup(1)}
+    assert chain.integral_groups == ChainComplex([0]).integral_groups
+    if record is CochainCalculator:
+        assert chain.group(-1, "Z") == HomologyGroup(1)
+        assert chain.generators(-1, "Z") == [[1]]
+
+
 def skeleton_masks(vertices, k):
     """The k-subsets of ``vertices``, as masks: the facets of the full
     (k - 1)-skeleton on them."""

@@ -23,7 +23,7 @@ from momentangle import (
 )
 from momentangle.complexes import neighbourliness_from_counts
 from momentangle.golod import TheoremVerdict, iota_pair, pair_certificates
-from momentangle.hochster import _removable_vertex, wedge_model
+from momentangle.hochster import wedge_model
 from momentangle.homology import (
     DEFAULT_BATTERY,
     HomologyGroup,
@@ -125,14 +125,39 @@ def brute_neighbourliness(K, mask):
     return len(verts)
 
 
-def hochster_by_restriction(complex, coeffs="Z"):
-    """``hochster_decomposition`` with each core built as a complex.
+def removable_vertex(mask, support, neighbourhoods):
+    """The bit of a vertex v with K_I ≃ K_{I∖v} for I = ``mask``, or 0.
 
-    The subsets with a removable vertex reuse a smaller subset's groups
-    as in the scan; every other subset builds ``complex.restriction``,
-    skips a cone, and computes cohomology in its
-    ``homology_degree_window``, so no face is read off the facets
-    directly.
+    A ghost vertex (off the support) is removable in any complex, since
+    K_I and K_{I∖v} are equal.  On a flag complex v is also removable when
+    some other w in I has N[v] ∩ I ⊆ N[w]: then every facet of K_I through
+    v contains w, so v is dominated and deleting it is a strong collapse
+    (Barmak–Minian).  ``neighbourhoods`` maps a vertex bit to its closed
+    neighbourhood N[v], and is ``None`` for a non-flag complex.
+    """
+    ghosts = mask & ~support
+    if ghosts:
+        return ghosts & -ghosts
+    if neighbourhoods is None:
+        return 0
+    for v in mask_vertices(mask):
+        bit = 1 << v
+        closed = neighbourhoods[bit] & mask
+        if any(closed & ~neighbourhoods[1 << w] == 0
+               for w in mask_vertices(closed ^ bit)):
+            return bit
+    return 0
+
+
+def hochster_by_restriction(complex, coeffs="Z"):
+    """``hochster_decomposition`` by strong collapses and restrictions.
+
+    A subset with a ghost or dominated vertex (``removable_vertex``)
+    reuses the groups of the subset without it; every other subset builds
+    ``complex.restriction``, skips a cone, and computes cohomology in its
+    ``homology_degree_window``.  No link, deletion or face is read off
+    the facets, so the scan's Mayer–Vietoris rules and closed forms are
+    checked against an independent route.
     """
     neighbourhoods = None
     if complex.is_flag:
@@ -142,7 +167,7 @@ def hochster_by_restriction(complex, coeffs="Z"):
     summands = []
     for bits in range(1 << complex.n):
         mask = bits << 1
-        removable = _removable_vertex(mask, complex.support, neighbourhoods)
+        removable = removable_vertex(mask, complex.support, neighbourhoods)
         if removable:
             groups = groups_of[(mask ^ removable) >> 1]
         else:
