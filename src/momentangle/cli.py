@@ -60,15 +60,6 @@ def _fraction_str(value):
     return str(Fraction(value))
 
 
-def _battery(text):
-    labels = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not labels:
-        raise ValueError("empty coefficient battery")
-    for label in labels:
-        parse_coefficients(label)
-    return labels
-
-
 def _text_lines(value, path=""):
     if isinstance(value, dict):
         if not value:
@@ -219,7 +210,9 @@ def _cmd_hochster(args):
 
 def _cmd_golod(args):
     complex = _load_complex(args.input)
-    battery = _battery(args.coeffs)
+    # the pair scan checks the labels before it walks any pair
+    battery = tuple(part.strip() for part in args.coeffs.split(",")
+                    if part.strip())
     certificates = pair_certificates(complex, battery)
     counts = {"Null": 0, "NotNull": 0, "Unknown": 0}
     pairs = []

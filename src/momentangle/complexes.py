@@ -267,28 +267,21 @@ class SimplicialComplex:
     def minimal_non_faces(self):
         """Inclusion-minimal subsets of {1..n} that are not faces, sorted.
 
-        A subset is a non-face iff it meets the complement of every facet,
-        so the minimal non-faces are the minimal transversals of the facet
-        complements; computed by incremental transversal updating.
+        Read off the face set: σ is a minimal non-face exactly when σ is
+        not a face and σ minus any one vertex is.  Each σ is tested once,
+        from the face τ = σ minus its top vertex, so every face τ is tried
+        with each vertex above its own top vertex.
         """
-        ambient = full_mask(self.n)
-        edges = sorted({ambient & ~f for f in self.facets})
-        if edges and edges[0] == 0:
-            return ()
-        transversals = [0]
-        for edge in edges:
-            hit = [t for t in transversals if t & edge]
-            grown = set(hit)
-            for t in transversals:
-                if t & edge:
-                    continue
-                for v in mask_vertices(edge):
-                    cand = t | (1 << v)
-                    if not any(u & ~cand == 0 for u in hit):
-                        grown.add(cand)
-            transversals = [t for t in grown
-                            if not any(u != t and u & ~t == 0 for u in grown)]
-        return tuple(sorted(transversals))
+        faces = self.faces
+        found = []
+        for tau in faces:
+            bits = [1 << u for u in mask_vertices(tau)]
+            for v in range(max(tau.bit_length(), 1), self.n + 1):
+                sigma = tau | (1 << v)
+                if sigma not in faces and all(sigma ^ bit in faces
+                                              for bit in bits):
+                    found.append(sigma)
+        return tuple(sorted(found))
 
     @cached_property
     def neighbourliness(self):

@@ -66,6 +66,7 @@ from momentangle.homology import (
     CochainCalculator,
     GradedMap,
     hurewicz_applies,
+    parse_coefficients,
 )
 from momentangle.hochster import wedge_model
 # Unused here (connectivity is read off each chain complex's integral
@@ -374,8 +375,17 @@ class _PairEngine:
 
 
 def _battery(coeffs):
-    """A coefficient battery as a sequence; one label is a battery of one."""
-    return (coeffs,) if isinstance(coeffs, str) else coeffs
+    """A coefficient battery as a tuple; one label is a battery of one.
+
+    An empty battery, which would certify every pair Null, and a label
+    ``parse_coefficients`` refuses are refused here, before any walk.
+    """
+    battery = (coeffs,) if isinstance(coeffs, str) else tuple(coeffs)
+    if not battery:
+        raise ValueError("empty coefficient battery")
+    for label in battery:
+        parse_coefficients(label)
+    return battery
 
 
 def _refuse_above_cap(complex):

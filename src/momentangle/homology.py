@@ -51,18 +51,24 @@ from momentangle.linalg import field_echelon, field_nullspace, field_solve  # no
 MAX_FIELD_PRIME = 1 << 31
 
 
-@cache
 def parse_coefficients(label):
-    """Split a coefficient label into ('Z'|'Q'|'F', p or None).
+    """Split a coefficient label into ('Z'|'Q'|'F', p or None)."""
+    if not isinstance(label, str):
+        raise ValueError(f"coefficient label {label!r} is not a string; "
+                         "use 'Z', 'Q', or 'Fp' with p prime")
+    return _parse_label(label)
 
-    Each field has one label, so the cache holds one entry per field
-    read; the calculators parse their coefficients on every reading.
-    """
+
+@cache
+def _parse_label(label):
+    """``parse_coefficients`` of a string.  Each field has one label, so
+    the cache holds one entry per field read; the calculators parse their
+    coefficients on every reading."""
     if label == "Z":
         return "Z", None
     if label == "Q":
         return "Q", None
-    if isinstance(label, str) and label.startswith("F"):
+    if label.startswith("F"):
         # ASCII digits with no leading zero, so that one field has one label
         digits = label[1:]
         if digits.isascii() and digits.isdigit() and digits[0] != "0":
@@ -131,21 +137,20 @@ def _boundary_matrix(sources, target_index):
     """∂ from the faces ``sources`` (columns, in order) to the faces one
     vertex smaller (rows, by ``target_index``), with alternating signs
     along ascending vertex order."""
-    matrix = IntMatrix(len(target_index), len(sources))
-    rows, cols = matrix.rows, matrix.cols
+    columns = {}
     for j, f in enumerate(sources):
-        occupied = set()
+        column = {}
         sign, rest = 1, f
         while rest:
             bit = rest & -rest
             rest ^= bit
-            t = target_index[f ^ bit]
-            rows.setdefault(t, {})[j] = sign
-            occupied.add(t)
+            column[target_index[f ^ bit]] = sign
             sign = -sign
-        if occupied:
-            cols[j] = occupied
-    return matrix
+        if column:  # the empty face bounds nothing
+            columns[j] = column
+    # built column by column: the rows of the transpose
+    return IntMatrix.from_row_dicts(len(sources), len(target_index),
+                                    columns).T
 
 
 class ChainComplex:
@@ -440,7 +445,7 @@ class CochainCalculator(ChainComplex):
 
     def coboundary_matrix(self, d):
         if d not in self._coboundaries:
-            self._coboundaries[d] = self.boundary_matrix(d + 1).transpose()
+            self._coboundaries[d] = self.boundary_matrix(d + 1).T
         return self._coboundaries[d]
 
     # -- presentation ---------------------------------------------------
@@ -459,10 +464,9 @@ class CochainCalculator(ChainComplex):
         images = out.V_inv @ prev
         assert all(row >= r for row in images.rows), \
             "coboundary image escaped the cocycle space"
-        relations = IntMatrix(kernel_dim, prev.num_cols)
-        relations.rows = {row - r: vals for row, vals in images.rows.items()}
-        relations.cols = {col: {row - r for row in occ}
-                          for col, occ in images.cols.items()}
+        relations = IntMatrix.from_row_dicts(
+            kernel_dim, prev.num_cols,
+            {row - r: vals for row, vals in images.rows.items()})
         rel = smith_normal_form(relations, keep_transforms=True)
         orders = list(rel.diagonal) + [0] * (kernel_dim - rel.rank)
         # only out.V, out.V_inv and rel's U, U_inv and V are read

@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers, the rationals, and prime fields.
 
-One sparse matrix type, ``IntMatrix``, holds every integer matrix: a
-dict of nonzero rows plus the set of rows occupying each column.  The
-workhorse is a Smith normal form over ZZ that eliminates a copy of its
-input in place, with optional unimodular transforms (U * A * V = D
-together with both inverses) built as matrices of the same type.  It
+One sparse matrix type, ``IntMatrix``, holds every integer matrix: each
+nonzero entry sits in a dict of rows and in a dict of columns, and the
+transpose ``T`` is a view that swaps the two, so one set of row
+operations serves rows and columns alike.  The workhorse is a Smith
+normal form over ZZ that eliminates a copy of its input in place, with
+optional unimodular transforms (U * A * V = D together with both
+inverses) built as matrices of the same type.  It
 yields ranks, torsion, kernel bases, and canonical coordinates all at
 once; cohomology over every coefficient ring is read off those forms.
 Small dense helpers over Fraction / GF(p) serve the Koszul oracle and
@@ -35,11 +37,13 @@ def extended_gcd(a, b):
 class IntMatrix:
     """Sparse integer matrix with an explicit shape.
 
-    ``rows`` maps a row index to {column: value} and ``cols`` maps a
-    column index to the set of rows holding an entry in it.  Only nonzero
-    entries are stored, and no row dict or column set is ever empty.  The
-    elementary operations below rewrite the matrix in place, keeping both
-    views in step; the Smith form runs them on a ``copy()``.
+    Each nonzero entry is stored twice: ``rows`` maps a row index to
+    {column: value} and ``cols`` maps a column index to {row: value}.  No
+    zero is stored, and no row or column dict is ever empty.  ``T`` is the
+    transpose as a view sharing both dicts, so a column operation is the
+    row operation of ``T``.  The row operations below rewrite the matrix
+    in place, keeping both dicts in step; the Smith form runs them on a
+    ``copy()``.
     """
 
     __slots__ = ("num_rows", "num_cols", "rows", "cols")
@@ -60,34 +64,43 @@ class IntMatrix:
                 self._set(r, c, v)
 
     @classmethod
-    def identity(cls, n):
-        matrix = cls(n, n)
-        matrix.rows = {i: {i: 1} for i in range(n)}
-        matrix.cols = {i: {i} for i in range(n)}
+    def from_row_dicts(cls, num_rows, num_cols, rows):
+        """The matrix whose rows are ``rows``, {row: {column: value}},
+        taken over as they are: nonzero values and no empty row dict."""
+        matrix = cls(num_rows, num_cols)
+        matrix.rows = rows
+        cols = matrix.cols
+        for r, row in rows.items():
+            for c, v in row.items():
+                cols.setdefault(c, {})[r] = v
         return matrix
+
+    @classmethod
+    def identity(cls, n):
+        return cls.from_row_dicts(n, n, {i: {i: 1} for i in range(n)})
 
     def copy(self):
         matrix = IntMatrix(self.num_rows, self.num_cols)
         matrix.rows = {r: dict(row) for r, row in self.rows.items()}
-        matrix.cols = {c: set(occ) for c, occ in self.cols.items()}
+        matrix.cols = {c: dict(col) for c, col in self.cols.items()}
         return matrix
+
+    @property
+    def T(self):
+        """The transpose, sharing this matrix's dicts: an operation on
+        either rewrites both."""
+        view = IntMatrix(self.num_cols, self.num_rows)
+        view.rows, view.cols = self.cols, self.rows
+        return view
 
     def get(self, r, c):
         return self.rows.get(r, {}).get(c, 0)
 
     def column(self, c):
         col = [0] * self.num_rows
-        for r in self.cols.get(c, ()):
-            col[r] = self.rows[r][c]
+        for r, v in self.cols.get(c, {}).items():
+            col[r] = v
         return col
-
-    def transpose(self):
-        matrix = IntMatrix(self.num_cols, self.num_rows)
-        rows = self.rows
-        matrix.rows = {c: {r: rows[r][c] for r in occ}
-                       for c, occ in self.cols.items()}
-        matrix.cols = {r: set(row) for r, row in rows.items()}
-        return matrix
 
     def __matmul__(self, other):
         if self.num_cols != other.num_rows:
@@ -121,23 +134,23 @@ class IntMatrix:
         nonzero = sum(len(row) for row in self.rows.values())
         return f"IntMatrix({self.num_rows}x{self.num_cols}, {nonzero} nonzero)"
 
-    # -- elementary operations, in place ---------------------------------
+    # -- row operations, in place ----------------------------------------
 
     def _set(self, r, c, v):
         """Write entry (r, c); a zero removes it, and an emptied row or
         column with it."""
         if v:
             self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, set()).add(r)
+            self.cols.setdefault(c, {})[r] = v
         else:
             row = self.rows.get(r)
             if row and c in row:
                 del row[c]
                 if not row:
                     del self.rows[r]
-                occ = self.cols[c]
-                occ.discard(r)
-                if not occ:
+                col = self.cols[c]
+                del col[r]
+                if not col:
                     del self.cols[c]
 
     def row_axpy(self, target, source, k):
@@ -145,39 +158,22 @@ class IntMatrix:
         for c, v in list(self.rows.get(source, {}).items()):
             self._set(target, c, self.get(target, c) + k * v)
 
-    def col_axpy(self, target, source, k):
-        """col_target += k * col_source."""
-        for r in list(self.cols.get(source, ())):
-            self._set(r, target, self.get(r, target) + k * self.rows[r][source])
-
     def swap_rows(self, i, j):
         if i == j:
             return
-        ri = self.rows.pop(i, {})
-        rj = self.rows.pop(j, {})
+        rows, cols = self.rows, self.cols
+        ri = rows.pop(i, {})
+        rj = rows.pop(j, {})
         for c in ri:
-            self.cols[c].discard(i)
+            del cols[c][i]
         for c in rj:
-            self.cols[c].discard(j)
+            del cols[c][j]
         # every column emptied above is refilled here
         for r, row in ((i, rj), (j, ri)):
             if row:
-                self.rows[r] = row
-                for c in row:
-                    self.cols[c].add(r)
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        occ_i = self.cols.pop(i, set())
-        occ_j = self.cols.pop(j, set())
-        vals_i = {r: self.rows[r].pop(i) for r in occ_i}
-        vals_j = {r: self.rows[r].pop(j) for r in occ_j}
-        for c, occ, vals in ((i, occ_j, vals_j), (j, occ_i, vals_i)):
-            if occ:
-                self.cols[c] = occ
-            for r, v in vals.items():
-                self.rows[r][c] = v
+                rows[r] = row
+                for c, v in row.items():
+                    cols[c][r] = v
 
     def combine_rows(self, i, j, x, y, u, v):
         """(row_i, row_j) <- (x*row_i + y*row_j, u*row_i + v*row_j)."""
@@ -189,22 +185,9 @@ class IntMatrix:
             self._set(i, c, x * a + y * b)
             self._set(j, c, u * a + v * b)
 
-    def combine_cols(self, i, j, x, y, u, v):
-        """(col_i, col_j) <- (x*col_i + y*col_j, u*col_i + v*col_j)."""
-        occ = set(self.cols.get(i, ())) | set(self.cols.get(j, ()))
-        for r in occ:
-            a = self.get(r, i)
-            b = self.get(r, j)
-            self._set(r, i, x * a + y * b)
-            self._set(r, j, u * a + v * b)
-
     def scale_row(self, i, s):
-        for c in list(self.rows.get(i, {})):
-            self.rows[i][c] *= s
-
-    def scale_col(self, i, s):
-        for r in self.cols.get(i, ()):
-            self.rows[r][i] *= s
+        for c, v in self.rows.get(i, {}).items():
+            self.rows[i][c] = self.cols[c][i] = v * s
 
 
 class SmithForm:
@@ -256,6 +239,59 @@ def _choose_pivot(work, start):
     return best
 
 
+class _Side:
+    """One side of the Smith elimination, run through row operations: the
+    working matrix (``work.T`` for columns), the transform taking the same
+    steps, and the inverse transform taking the inverse steps (through
+    ``T`` of U⁻¹ for rows, V⁻¹ itself for columns).  Without transforms
+    only ``work`` is kept."""
+
+    __slots__ = ("work", "forward", "inverse")
+
+    def __init__(self, work, forward=None, inverse=None):
+        self.work = work
+        self.forward = forward
+        self.inverse = inverse
+
+    def axpy(self, t, s, k):
+        self.work.row_axpy(t, s, k)
+        if self.forward is not None:
+            self.forward.row_axpy(t, s, k)
+            self.inverse.row_axpy(s, t, -k)
+
+    def combine(self, i, j, a, b):
+        """Replace lines i, j so the new (i, pivot) entry is gcd(a, b)."""
+        g, x, y = extended_gcd(a, b)
+        u, v = -(b // g), a // g
+        self.work.combine_rows(i, j, x, y, u, v)
+        if self.forward is not None:
+            self.forward.combine_rows(i, j, x, y, u, v)
+            # inverse of [[x, y], [u, v]] (determinant 1) is [[v, -y], [-u, x]]
+            self.inverse.combine_rows(i, j, v, -u, -y, x)
+        return g
+
+    def swap(self, i, j):
+        for matrix in (self.work, self.forward, self.inverse):
+            if matrix is not None:
+                matrix.swap_rows(i, j)
+
+    def negate(self, i):
+        for matrix in (self.work, self.forward, self.inverse):
+            if matrix is not None:
+                matrix.scale_row(i, -1)
+
+    def clear(self, k):
+        """Clear column k of ``work`` off the pivot (k, k)."""
+        work = self.work
+        for r in sorted(work.cols.get(k, {}).keys() - {k}):
+            a = work.get(k, k)
+            b = work.get(r, k)
+            if b % a == 0:
+                self.axpy(r, k, -(b // a))
+            else:
+                self.combine(k, r, a, b)
+
+
 def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
@@ -263,95 +299,34 @@ def smith_normal_form(matrix, keep_transforms=False):
     gcd row/column combines, then enforces the divisibility chain.  With
     ``keep_transforms`` the result carries unimodular U, V and their
     inverses with U @ A @ V diagonal, each the matrix the elimination
-    updated step by step from the identity.
+    updated step by step from the identity.  A column step is the row
+    step of the transposes, so one ``_Side`` runs both.
     """
     m, n = matrix.num_rows, matrix.num_cols
     work = matrix.copy()
     if keep_transforms:
         tu, tu_inv = IntMatrix.identity(m), IntMatrix.identity(m)
         tv, tv_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+        rows = _Side(work, tu, tu_inv.T)
+        cols = _Side(work.T, tv.T, tv_inv)
     else:
-        tu = tu_inv = tv = tv_inv = None
-
-    def row_axpy(t, s, k):
-        work.row_axpy(t, s, k)
-        if tu is not None:
-            tu.row_axpy(t, s, k)
-            tu_inv.col_axpy(s, t, -k)
-
-    def col_axpy(t, s, k):
-        work.col_axpy(t, s, k)
-        if tv is not None:
-            tv.col_axpy(t, s, k)
-            tv_inv.row_axpy(s, t, -k)
-
-    def combine_rows(i, j, a, b):
-        # Replace rows i, j so the new (i, pivot-col) entry is gcd(a, b).
-        g, x, y = extended_gcd(a, b)
-        u, v = -(b // g), a // g
-        work.combine_rows(i, j, x, y, u, v)
-        if tu is not None:
-            tu.combine_rows(i, j, x, y, u, v)
-            # inverse of [[x, y], [u, v]] (determinant 1) is [[v, -y], [-u, x]]
-            tu_inv.combine_cols(i, j, v, -u, -y, x)
-        return g
-
-    def combine_cols(i, j, a, b):
-        g, x, y = extended_gcd(a, b)
-        u, v = -(b // g), a // g
-        work.combine_cols(i, j, x, y, u, v)
-        if tv is not None:
-            tv.combine_cols(i, j, x, y, u, v)
-            tv_inv.combine_rows(i, j, v, -u, -y, x)
-        return g
-
-    def swap_rows(i, j):
-        work.swap_rows(i, j)
-        if tu is not None:
-            tu.swap_rows(i, j)
-            tu_inv.swap_cols(i, j)
-
-    def swap_cols(i, j):
-        work.swap_cols(i, j)
-        if tv is not None:
-            tv.swap_cols(i, j)
-            tv_inv.swap_rows(i, j)
-
-    def negate_row(i):
-        work.scale_row(i, -1)
-        if tu is not None:
-            tu.scale_row(i, -1)
-            tu_inv.scale_col(i, -1)
+        rows, cols = _Side(work), _Side(work.T)
 
     k = 0
     while True:
         pivot = _choose_pivot(work, k)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
+        rows.swap(k, pivot[0])
+        cols.swap(k, pivot[1])
         while True:
-            for r in sorted(work.cols.get(k, set()) - {k}):
-                a = work.get(k, k)
-                b = work.get(r, k)
-                if b % a == 0:
-                    row_axpy(r, k, -(b // a))
-                else:
-                    combine_rows(k, r, a, b)
-            for c in sorted(set(work.rows.get(k, {})) - {k}):
-                a = work.get(k, k)
-                b = work.get(k, c)
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    col_axpy(c, k, -(b // a))
-                else:
-                    combine_cols(k, c, a, b)
-            if (work.cols.get(k, set()) <= {k}
-                    and set(work.rows.get(k, {})) <= {k}):
+            rows.clear(k)
+            cols.clear(k)
+            if (work.cols.get(k, {}).keys() <= {k}
+                    and work.rows.get(k, {}).keys() <= {k}):
                 break
         if work.get(k, k) < 0:
-            negate_row(k)
+            rows.negate(k)
         k += 1
 
     # Enforce d_i | d_{i+1}; each fix replaces (a, b) by (gcd, lcm).
@@ -363,10 +338,10 @@ def smith_normal_form(matrix, keep_transforms=False):
             b = work.get(i + 1, i + 1)
             if b % a:
                 changed = True
-                col_axpy(i, i + 1, 1)
-                g = combine_rows(i, i + 1, a, b)
+                cols.axpy(i, i + 1, 1)
+                g = rows.combine(i, i + 1, a, b)
                 rem = work.get(i, i + 1)
-                col_axpy(i + 1, i, -(rem // g))
+                cols.axpy(i + 1, i, -(rem // g))
 
     diagonal = [work.get(i, i) for i in range(k)]
     if keep_transforms:

@@ -433,6 +433,11 @@ def test_exit_codes(capsys, tmp_path):
     # bad coefficient label, and the removed thread-count and tolerance flags
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "R")[0] == 1
     assert run_cli(capsys, "hochster", CYCLE4, "--coeffs", "F02")[0] == 1
+    # golod's battery: empty, or with an unknown label
+    for battery, message in ((" , ", "empty coefficient battery"),
+                             ("Z,R", "unknown coefficient field 'R'")):
+        code, out, err = run_cli(capsys, "golod", CYCLE4, "--coeffs", battery)
+        assert code == 1 and out == "" and message in err
     # a prime label above 2^31 is refused before any trial division
     for label in ("F2305843009213693951", "F" + "7" * 402):
         code, out, err = run_cli(capsys, "hochster", CYCLE4, "--coeffs", label)

@@ -1,5 +1,6 @@
 """Bitmask complex layer: construction, invariants, generators."""
 
+import itertools
 import math
 
 import pytest
@@ -260,6 +261,36 @@ def test_faces_closed_downward_property():
             assert not K.is_face(nf)
             for v in mask_vertices(nf):
                 assert K.is_face(nf ^ (1 << v))
+
+
+def brute_minimal_non_faces(K):
+    """Every subset of {1..n} that is not a face while each of its
+    one-smaller subsets is, by testing all 2^n subsets."""
+    return tuple(sigma for sigma in iter_submasks(full_mask(K.n))
+                 if not K.is_face(sigma)
+                 and all(K.is_face(sigma ^ (1 << v))
+                         for v in mask_vertices(sigma)))
+
+
+def test_minimal_non_faces_match_the_subset_oracle():
+    rng = seeded(43)
+    corpus = [K for n in range(4) for K in all_complexes_on(n)]
+    corpus += [SimplicialComplex(n) for n in range(8)]          # {∅}
+    corpus += [full_skeleton(n, k) for n in range(1, 8) for k in range(n)]
+    corpus += [new_complex(7, [[1, 2, 3], [3, 4]])]              # ghosts
+    corpus += [flag_from_graph(n, [(v, v + 1) for v in range(1, n)])
+               for n in range(2, 8)]
+    corpus += [random_antichain_complex(rng, rng.randint(1, 7))
+               for _ in range(80)]
+    for K in corpus:
+        assert K.minimal_non_faces == tuple(sorted(brute_minimal_non_faces(K)))
+
+
+def test_minimal_non_faces_of_a_skeleton_are_the_next_size_up():
+    # every set of at most 6 vertices is a face of the 5-skeleton on 13
+    # vertices, so its minimal non-faces are all C(13, 7) = 1,716 7-sets
+    assert full_skeleton(13, 5).minimal_non_faces == tuple(sorted(
+        vertex_mask(c) for c in itertools.combinations(range(1, 14), 7)))
 
 
 def test_neighbourliness_definition_matches_scan():

@@ -106,6 +106,19 @@ def test_pair_validation_errors():
         null_certificate(c4, vertex_mask([1]), vertex_mask([5]))
 
 
+def test_pair_scans_refuse_a_bad_battery_before_any_walk(monkeypatch):
+    # an empty battery would certify every pair Null: cycle 4's default
+    # battery finds nonzero maps
+    assert not cup_products_vanish(cycle_complex(4))[0]
+    monkeypatch.setattr(golod, "iter_disjoint_pairs", None)
+    for scan in (pair_certificates, cup_products_vanish):
+        for battery in ([], (), ["Z", "R"], ("F4",), [["Z"]]):
+            with pytest.raises(ValueError):
+                scan(cycle_complex(4), battery)
+    with pytest.raises(ValueError):
+        iota_pair(cycle_complex(4), vertex_mask([1]), vertex_mask([3]), [])
+
+
 def test_pair_scans_refuse_complexes_above_the_cap():
     assert MAX_PAIR_VERTICES == 12
     K = simplex(MAX_PAIR_VERTICES + 1)

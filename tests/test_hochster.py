@@ -359,6 +359,13 @@ def test_decomposition_vertex_guard():
         hochster_decomposition(new_complex(21, []))
 
 
+def test_decomposition_refuses_a_label_that_is_not_a_string():
+    # a list is unhashable, so it must be refused before any cache sees it
+    for label in (["Z"], ("Z",), 2):
+        with pytest.raises(ValueError, match="not a string"):
+            hochster_decomposition(cycle_complex(4), label)
+
+
 def test_poincare_series_algebra():
     s = PoincareSeries({0: 1, 3: 2, 6: 1})
     assert s.rank(3) == 2 and s.rank(1) == 0

@@ -74,6 +74,10 @@ def test_parse_coefficients():
                 "F2305843009213693951", "F" + "7" * 402):
         with pytest.raises(ValueError):
             parse_coefficients(bad)
+    # a label that is not a string, hashable or not
+    for bad in (["Z"], ("Z",), 2, None):
+        with pytest.raises(ValueError, match="not a string"):
+            parse_coefficients(bad)
 
 
 def test_named_spaces_integral_homology():

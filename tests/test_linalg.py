@@ -1,5 +1,6 @@
 """Integer and field linear algebra against independent oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from momentangle import (
+    CochainCalculator,
     IntMatrix,
     field_nullspace,
     field_rank,
@@ -15,7 +17,7 @@ from momentangle import (
 )
 from momentangle.linalg import extended_gcd, field_echelon, field_solve
 
-from util import dense_rows, int_matrix, seeded
+from util import dense_rows, fixture_complex, int_matrix, seeded
 
 
 def random_int_matrix(rng, max_dim=8, bound=9):
@@ -52,7 +54,8 @@ def test_int_matrix_basics():
     A = int_matrix([[1, 2], [0, -3]])
     assert A.get(0, 1) == 2 and A.get(1, 0) == 0
     assert dense_rows(A) == [[1, 2], [0, -3]]
-    assert dense_rows(A.transpose()) == [[1, 0], [2, -3]]
+    assert dense_rows(A.T) == [[1, 0], [2, -3]]
+    assert A.T.T == A
     assert A.column(1) == [2, -3]
     assert (A @ IntMatrix.identity(2)) == A
     assert A.apply([1, 1]) == [3, -3]
@@ -121,6 +124,30 @@ def test_smith_of_a_matrix_without_rows_or_columns():
         assert smith_fields(smith_normal_form(A, keep_transforms=True)) == (
             m, n, [], IntMatrix.identity(m), IntMatrix.identity(n),
             IntMatrix.identity(m), IntMatrix.identity(n))
+
+
+def smith_digest(matrices):
+    """sha256 of each matrix's Smith diagonal and its four transforms,
+    entry by entry."""
+    digest = hashlib.sha256()
+    for A in matrices:
+        form = smith_normal_form(A, keep_transforms=True)
+        digest.update(repr((form.diagonal, [
+            dense_rows(T) for T in (form.U, form.V, form.U_inv, form.V_inv)
+        ])).encode())
+    return digest.hexdigest()
+
+
+def test_smith_transforms_are_pinned():
+    # digests taken from the elimination that ran each column operation
+    # as its own routine; a column step run as the row step of the
+    # transpose must reproduce every transform entry for entry
+    rp2 = CochainCalculator(fixture_complex("rp2.json").facets)
+    assert smith_digest(rp2.coboundary_matrix(d) for d in rp2.degrees()) == (
+        "45fcacd370f3e4a327fa7b2d4c1835f275dbf063a37626b96728073dcc3218e5")
+    rng = seeded(16)
+    assert smith_digest(random_int_matrix(rng) for _ in range(200)) == (
+        "a0347277a82c43c369ba5da76928282a92c14f9d8ae6c943caea2003ecfb0ec8")
 
 
 def test_rank_mod_matches_invariant_factors():
