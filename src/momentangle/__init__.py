@@ -37,6 +37,7 @@ from momentangle.clusters import (
     tagging_map,
 )
 from momentangle.complexes import (
+    FaceRecord,
     SimplicialComplex,
     boundary_simplex,
     cycle_complex,

@@ -12,6 +12,7 @@ assertion trips.
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -79,8 +80,13 @@ def _emit(report, fmt):
     if fmt == "text":
         for line in _text_lines(report):
             print(line)
-    else:
+    elif report["command"] == "hochster":
         print(_json_text(report))
+    else:   # in batches, so the encoder's chunks are never all held at once
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        print()
 
 
 # A JSON string never holds a raw newline, so only the empty summand list
@@ -89,15 +95,14 @@ _SUMMANDS_SLOT = '\n  "summands": []'
 
 
 def _json_text(report):
-    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)``.
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)`` for a
+    ``hochster`` report.
 
     With ``indent`` set, CPython's ``json`` falls back to its pure-Python
-    encoder, which dominated large ``hochster`` reports.  So a ``hochster``
-    report keeps its ``HochsterSummand`` objects, the rest is dumped with an
+    encoder, which dominated large ``hochster`` reports.  So the report
+    keeps its ``HochsterSummand`` objects, the rest is dumped with an
     empty list in their place, and ``_summands_json`` writes the list there.
     """
-    if report["command"] != "hochster":
-        return json.dumps(report, indent=2, sort_keys=True)
     head, tail = json.dumps({**report, "summands": []},
                             indent=2, sort_keys=True).split(_SUMMANDS_SLOT)
     return f'{head}\n  "summands": {_summands_json(report["summands"])}{tail}'

@@ -9,13 +9,20 @@ The empty set is a face of every complex here: constructing with an empty
 facet list yields the complex ``{∅}`` whose sole face is the empty set.
 Ghost vertices are allowed — an ambient vertex need not be a face — which
 is exactly what restrictions to a vertex subset produce.
+
+``FaceRecord``, the complex whose faces are the submasks of some masks
+(K's facets, or K's facets cut down to I for K_I), is the one place that
+lists faces and reads the apex and neighbourliness.  A
+``SimplicialComplex`` reads these off the record of its facets, built on
+first use; ``homology.ChainComplex`` extends the record with cohomology.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 MAX_VERTICES = 63
 # Most facets a generated skeleton may have: C(20, 10), so that every
@@ -66,21 +73,6 @@ def lowest_vertex(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def neighbourliness_from_counts(counts):
-    """Support neighbourliness of a complex from its face counts.
-
-    ``counts[k]`` is the number of faces with k vertices, so ``counts[1]``
-    is the size s of the support.  Every face lies on the support, so
-    every k-subset of it is a face exactly when ``counts[k]`` is C(s, k);
-    this is the largest k for which that holds at 1, .., k.
-    """
-    s = counts[1] if len(counts) > 1 else 0
-    k = 0
-    while k + 1 < len(counts) and counts[k + 1] == math.comb(s, k + 1):
-        k += 1
-    return k
-
-
 def full_skeleton_size(order, support):
     """k, the largest size in the masks ``order`` (listed largest first),
     when they span the full (k - 1)-skeleton on the s vertices of
@@ -89,6 +81,81 @@ def full_skeleton_size(order, support):
     k = order[0].bit_count()
     top = set(itertools.takewhile(lambda f: f.bit_count() == k, order))
     return k if len(top) == math.comb(support.bit_count(), k) else None
+
+
+class FaceRecord:
+    """The complex whose faces are the submasks of ``masks``: a complex's
+    facets, or K's facets cut down to I for the full subcomplex K_I (no
+    masks make {∅}).  It is the only code that lists faces.
+
+    ``support``, ``dim`` and ``skeleton`` (k when the masks span the full
+    (k - 1)-skeleton on the support, else None) are read when it is
+    built; ``apex`` (the vertices every facet shares, nonzero exactly for
+    a cone), ``levels`` (entry k lists the faces with k vertices, in
+    increasing mask order) and the rest on first use.  A full skeleton
+    lists no face for its apex or neighbourliness.
+    """
+
+    def __init__(self, masks):
+        self._order = sorted(masks, key=int.bit_count, reverse=True) or [0]
+        self.support = reduce(or_, self._order)
+        self.dim = self._order[0].bit_count() - 1
+        self.skeleton = full_skeleton_size(self._order, self.support)
+
+    @cached_property
+    def _listing(self):
+        """The set of faces and the vertices the facets share.  A mask
+        already seen lies in a larger one, so the masks met unseen are
+        exactly the facets, with no antichain pruning."""
+        faces, apex = set(), -1
+        for f in self._order:
+            if f not in faces:
+                apex &= f
+                faces.update(iter_submasks(f))
+        return faces, apex
+
+    @property
+    def apex(self):
+        if self.skeleton is None:
+            return self._listing[1]
+        # a full skeleton is a cone only as the simplex
+        return self.support if self.skeleton == self.support.bit_count() else 0
+
+    @cached_property
+    def levels(self):
+        if self.skeleton is None:
+            levels = [[] for _ in range(self.dim + 2)]
+            for f in sorted(self._listing[0]):
+                levels[f.bit_count()].append(f)
+            return levels
+        vertices = [1 << v for v in mask_vertices(self.support)]
+        return [sorted(map(sum, itertools.combinations(vertices, size)))
+                for size in range(self.skeleton + 1)]
+
+    @cached_property
+    def closed_neighbourhoods(self):
+        """Per vertex v of the support, the union of the masks through v."""
+        closed = {}
+        for f in self._order:
+            for v in mask_vertices(f):
+                closed[v] = closed.get(v, 0) | f
+        return closed
+
+    @cached_property
+    def support_neighbourliness(self):
+        """The largest k such that every k-subset of the support is a face:
+        a full skeleton's k; before any face is listed, 1 if a vertex's
+        closed neighbourhood misses part of the support (an edge is
+        missing); otherwise the largest k with C(s, j) faces of each size
+        j ≤ k on the s-vertex support, which holds every face."""
+        if self.skeleton is not None:
+            return self.skeleton
+        if "_listing" not in self.__dict__ and any(
+                c != self.support for c in self.closed_neighbourhoods.values()):
+            return 1
+        s, levels = self.support.bit_count(), self.levels
+        return next((k for k in range(self.dim + 1)
+                     if len(levels[k + 1]) != math.comb(s, k + 1)), self.dim + 1)
 
 
 def _check_vertex_count(n):
@@ -158,26 +225,25 @@ class SimplicialComplex:
     # basic invariants
 
     @cached_property
+    def record(self):
+        """The ``FaceRecord`` of the facets, built on first use: the faces,
+        dimension, support, apex and neighbourliness are read off it."""
+        return FaceRecord(self.facets)
+
+    @property
     def dim(self):
         """Dimension: -1 for {∅}, otherwise max facet size minus one."""
-        return max(f.bit_count() for f in self.facets) - 1
+        return self.record.dim
 
-    @cached_property
+    @property
     def support(self):
         """Mask of vertices that lie on at least one face."""
-        m = 0
-        for f in self.facets:
-            m |= f
-        return m
+        return self.record.support
 
     @cached_property
     def faces(self):
         """Frozenset of all faces as masks (0, the empty face, included)."""
-        out = set()
-        for f in self.facets:
-            if f not in out:
-                out.update(iter_submasks(f))
-        return frozenset(out)
+        return frozenset(itertools.chain.from_iterable(self.record.levels))
 
     def is_face(self, mask):
         return any(mask & ~f == 0 for f in self.facets)
@@ -188,11 +254,8 @@ class SimplicialComplex:
 
         Indexed by vertex label (entry 0 is unused); a ghost vertex gets 0.
         """
-        out = [0] * (self.n + 1)
-        for f in self.facets:
-            for v in mask_vertices(f):
-                out[v] |= f
-        return tuple(out)
+        closed = self.record.closed_neighbourhoods
+        return tuple(closed.get(v, 0) for v in range(self.n + 1))
 
     @cached_property
     def is_flag(self):
@@ -208,10 +271,7 @@ class SimplicialComplex:
     @cached_property
     def f_vector(self):
         """Face counts indexed by size: entry k counts faces with k vertices."""
-        counts = [0] * (self.dim + 2)
-        for f in self.faces:
-            counts[f.bit_count()] += 1
-        return tuple(counts)
+        return tuple(map(len, self.record.levels))
 
     @cached_property
     def euler_characteristic(self):
@@ -240,19 +300,12 @@ class SimplicialComplex:
     # ------------------------------------------------------------------
     # predicates
 
-    @cached_property
+    @property
     def cone_apex(self):
-        """A vertex lying in every facet (the smallest one), or 0 if none.
-
-        A complex is a cone exactly when its facets have a common vertex,
-        and every such vertex is an apex.
-        """
-        common = self.facets[0]
-        for f in self.facets[1:]:
-            common &= f
-            if not common:
-                return 0
-        return lowest_vertex(common) if common else 0
+        """A vertex lying in every facet (the smallest one), or 0 if none:
+        a complex is a cone exactly when its facets share a vertex."""
+        apex = self.record.apex
+        return lowest_vertex(apex) if apex else 0
 
     @property
     def is_cone(self):
@@ -295,25 +348,11 @@ class SimplicialComplex:
             return 0
         return self.support_neighbourliness
 
-    @cached_property
+    @property
     def support_neighbourliness(self):
-        """Neighbourliness measured on the support only (ghosts ignored).
-
-        This is the combinatorial input to topological statements about
-        the realization, which ghost vertices cannot affect.
-
-        Read off the face counts (``neighbourliness_from_counts``).  A
-        full skeleton (``full_skeleton_size``) and a missing edge (in
-        ``closed_neighbourhoods``) are read first, sparing the face set.
-        """
-        support = self.support
-        order = sorted(self.facets, key=int.bit_count, reverse=True)
-        if (k := full_skeleton_size(order, support)) is not None:
-            return k
-        if support.bit_count() >= 2 and any(
-                closed != support for closed in self.closed_neighbourhoods if closed):
-            return 1
-        return neighbourliness_from_counts(self.f_vector)
+        """Neighbourliness measured on the support only (ghosts ignored):
+        the combinatorial input to statements about the realization."""
+        return self.record.support_neighbourliness
 
     @property
     def is_third_neighbourly(self):
@@ -358,6 +397,7 @@ def new_complex(n, faces):
 
 def simplex(n):
     """The full simplex on n vertices."""
+    _check_vertex_count(n)
     if n == 0:
         return SimplicialComplex(0)
     return SimplicialComplex(n, (full_mask(n),))
@@ -365,6 +405,7 @@ def simplex(n):
 
 def boundary_simplex(n):
     """All proper subsets of {1..n}: the boundary of the (n-1)-simplex."""
+    _check_vertex_count(n)
     if n < 1:
         raise ValueError("boundary_simplex needs at least one vertex")
     ambient = full_mask(n)
@@ -375,6 +416,7 @@ def boundary_simplex(n):
 
 def full_skeleton(n, k):
     """The k-skeleton of the full simplex on n vertices (k = -1 gives {∅})."""
+    _check_vertex_count(n)
     if k < -1:
         raise ValueError("skeleton dimension below -1")
     if k >= n - 1:
@@ -390,6 +432,7 @@ def full_skeleton(n, k):
 
 def cycle_complex(n):
     """The n-cycle 1-2-..-n-1 as a one-dimensional complex."""
+    _check_vertex_count(n)
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return SimplicialComplex.from_vertex_lists(
@@ -398,6 +441,7 @@ def cycle_complex(n):
 
 def single_non_face(n, size):
     """Complex on {1..n} whose unique minimal non-face is {1..size}."""
+    _check_vertex_count(n)
     if not 1 <= size <= n:
         raise ValueError("non-face size out of range")
     ambient = full_mask(n)
@@ -416,6 +460,7 @@ def flag_from_graph(n, edges):
     Maximal faces are the maximal cliques, found by Bron–Kerbosch with
     greedy pivoting.  Every vertex is a face (no ghosts).
     """
+    _check_vertex_count(n)
     adjacency = [0] * (n + 1)
     for a, b in edges:
         if a == b:

@@ -33,9 +33,12 @@ and otherwise a complex with the one group H̃^{m-1} = Z^{C(s-1, m)},
 free over every coefficient system (``homology.skeleton_groups``).  This
 settles every core of a skeleton, and the independent sets of a flag
 complex (m = 1).  The other cores read K_I straight off K's facets cut
-down to I, as a ``homology.ChainComplex``, which reads a full skeleton
-by the same formula: no restricted complex is built.  The pair engine
-of ``golod`` reads each K_I the same way.
+down to I, as a ``homology.ChainComplex`` on the one face record
+(``complexes.FaceRecord``), which reads a full skeleton by the same
+formula: no restricted complex is built.  K's own m comes off K's
+record, and the pair engine of ``golod`` reads each K_I the same way.
+The Koszul oracle tests every subset against K's facets instead, so it
+shares no face listing with this route.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from momentangle.complexes import mask_vertices, vertex_mask
+from momentangle.complexes import full_mask, mask_vertices, vertex_mask
 from momentangle.homology import ChainComplex, parse_coefficients, skeleton_groups
+from momentangle.linalg import field_rank
 # Unused here, but the benchmark's tracer wraps these two module attributes.
 from momentangle.linalg import rank_mod_p, smith_normal_form  # noqa: F401
 
@@ -364,7 +368,8 @@ def koszul_oracle(complex, field, max_total_degree):
             f"top degree {top_needed}")
 
     ranks = {0: 0}
-    faces = complex.faces
+    faces = {sigma for sigma in range(0, full_mask(n) + 1, 2)
+             if complex.is_face(sigma)}
     vertices = list(range(1, n + 1))
     for s_size in range(n + 1):
         for s_verts in combinations(vertices, s_size):
@@ -416,8 +421,6 @@ def _block_homology(faces, s_verts, s_mask, t_mask, p):
                 sign = -sign
             rows.append(row)
         return rows
-
-    from momentangle.linalg import field_rank
 
     rank_down = [0] * (s_size + 2)
     for deg in range(1, s_size + 1):

@@ -12,14 +12,16 @@ subcomplex inclusions become honest matrices that compose correctly.
 Every coefficient system reads its basis off one integral presentation,
 the Smith forms of the coboundaries (``CochainCalculator``).
 
-``ChainComplex`` is the one per-mask record: built from K's facets cut
-down to I, it holds the faces of K_I, its cone apex, dimension, support
-neighbourliness and table of integral cohomology, with no K_I built; a
-full skeleton reads them off its largest masks and lists no face.
-``CochainCalculator`` is a ``ChainComplex`` that also keeps the
-coboundaries, their Smith forms and its class counts; each of its
-readings takes the coefficients as an argument, so one calculator per
-mask serves every coefficient system.
+``ChainComplex`` extends the one face record, ``complexes.FaceRecord``,
+with boundaries and cohomology: built from K's facets cut down to I, it
+reads K_I's faces, apex, dimension and neighbourliness off the record
+and adds its table of integral cohomology, with no K_I built; a full
+skeleton takes its one group from a formula and lists no face.
+``reduced_homology`` and ``reduced_cohomology`` read the levels of a
+complex's record.  ``CochainCalculator`` is a ``ChainComplex`` that
+also keeps the coboundaries, their Smith forms and its class counts;
+each of its readings takes the coefficients as an argument, so one
+calculator per mask serves every coefficient system.
 
 ``InducedMap`` reads such a map off the calculators of both complexes.
 The pair maps into a join K_I * K_J never need the join's calculator: by
@@ -31,16 +33,9 @@ products and Tor classes (``golod.CrossProductMap``), and over ``Z``
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, reduce
-from itertools import combinations
-from operator import or_
+from functools import cache, cached_property
 
-from momentangle.complexes import (
-    full_skeleton_size,
-    iter_submasks,
-    mask_vertices,
-    neighbourliness_from_counts,
-)
+from momentangle.complexes import FaceRecord, mask_vertices
 from momentangle.linalg import IntMatrix, rank_mod_p, smith_normal_form
 # Unused here (every coefficient system is read off the integral Smith
 # forms), but the benchmark's tracer wraps these module attributes by name.
@@ -123,16 +118,6 @@ class HomologyGroup:
 _ZERO_GROUP = HomologyGroup(0)
 
 
-def face_levels(faces):
-    """Faces by vertex count: entry k lists the faces with k vertices, in
-    increasing mask order, up to the largest face."""
-    ordered = sorted(faces)
-    levels = [[] for _ in range(max(map(int.bit_count, ordered)) + 1)]
-    for f in ordered:
-        levels[f.bit_count()].append(f)
-    return levels
-
-
 def _boundary_matrix(sources, target_index):
     """∂ from the faces ``sources`` (columns, in order) to the faces one
     vertex smaller (rows, by ``target_index``), with alternating signs
@@ -153,55 +138,24 @@ def _boundary_matrix(sources, target_index):
                                     columns).T
 
 
-class ChainComplex:
-    """The reduced chain complex of the complex whose faces are the
-    submasks of ``masks``: a complex's ``facets``, or K's facets cut down
-    to I for the full subcomplex K_I.  No masks at all make {∅}.
-
-    It holds ``support``, ``dim`` (the largest mask's size less one),
-    ``apex`` (the vertices every facet shares, nonzero exactly for a cone)
-    and the faces by degree (``levels``: degree d holds the faces with d+1
-    vertices, sorted by mask value), sorted only when first read.  Masks
-    spanning the full (k - 1)-skeleton on the s-vertex support
-    (``complexes.full_skeleton_size``) list no faces until then: apex is
-    the support if k = s and 0 otherwise, ``support_neighbourliness`` is
-    k and ``cohomology`` is ``skeleton_groups(s, k)``.  The table of
-    integral cohomology (``integral_groups``), with the ``connectivity``
-    it fixes, is built on first use.
+class ChainComplex(FaceRecord):
+    """The reduced chain complex of a ``complexes.FaceRecord``, which
+    gives its faces, apex, dimension and support neighbourliness;
+    ``faces(d)`` lists those of degree d (d + 1 vertices).  A full
+    skeleton's ``cohomology`` is ``skeleton_groups(s, k)``, with no face
+    listed.  The table of integral cohomology (``integral_groups``), with
+    the ``connectivity`` it fixes, is built on first use.
     ``boundary_matrix(d)`` maps degree d to degree d-1 with alternating
     signs along ascending vertex order; the boundary of a vertex is the
     empty face, which makes homology reduced.
     """
 
     def __init__(self, masks):
+        super().__init__(masks)
         self._index = {}
-        order = sorted(masks, key=int.bit_count, reverse=True) or [0]
-        self.support = reduce(or_, order)
-        self.dim = order[0].bit_count() - 1
-        self._skeleton = full_skeleton_size(order, self.support)
-        if self._skeleton is None:
-            self._faces, self.apex = _restricted_faces(order)
-        else:   # a full skeleton is a cone only as the simplex
-            simplex = self._skeleton == self.support.bit_count()
-            self.apex = self.support if simplex else 0
-
-    @cached_property
-    def levels(self):
-        """The faces by vertex count (``face_levels``), sorted only when
-        first read; a full skeleton lists them only then."""
-        if self._skeleton is None:
-            return face_levels(self.__dict__.pop("_faces"))
-        vertices = [1 << v for v in mask_vertices(self.support)]
-        return [sorted(map(sum, combinations(vertices, size)))
-                for size in range(self._skeleton + 1)]
-
-    @cached_property
-    def support_neighbourliness(self):
-        if self._skeleton is not None:
-            return self._skeleton
-        return neighbourliness_from_counts([len(level) for level in self.levels])
 
     def faces(self, d):
+        """The faces of degree d (d + 1 vertices), in increasing mask order."""
         levels = self.levels
         return levels[d + 1] if 0 <= d + 1 < len(levels) else []
 
@@ -217,12 +171,12 @@ class ChainComplex:
     def cohomology(self, coeffs):
         """H̃^d(K) over ``coeffs`` for every d in
         ``homology_degree_window``: outside it H̃^d vanishes."""
-        if self._skeleton is None:
+        if self.skeleton is None:
             return _reduced_groups(self.levels, coeffs,
                                    homology_degree_window(self),
                                    cohomology=True)
         parse_coefficients(coeffs)
-        return skeleton_groups(self.support.bit_count(), self._skeleton)
+        return skeleton_groups(self.support.bit_count(), self.skeleton)
 
     @cached_property
     def integral_groups(self):
@@ -252,22 +206,6 @@ def skeleton_groups(s, k):
     return {k - 1: HomologyGroup(math.comb(s - 1, k) if s else 1)}
 
 
-def _restricted_faces(order):
-    """The faces of the complex whose facets lie among the masks
-    ``order``, listed largest first, and the vertices its facets share.
-
-    A mask already seen is skipped: it lies in a larger one.  So the
-    masks met unseen are exactly the facets, with no antichain pruning,
-    and a nonzero intersection of them is the apex set of a cone.
-    """
-    faces, apex = set(), -1
-    for f in order:
-        if f not in faces:
-            apex &= f
-            faces.update(iter_submasks(f))
-    return faces, apex
-
-
 def _spanning_forest_size(edges):
     """The number of edges in a spanning forest of the graph whose edges
     are the two-bit masks ``edges``: its vertex count minus its number of
@@ -294,12 +232,12 @@ def _spanning_forest_size(edges):
 
 def _reduced_groups(levels, coeffs, degree_range, cohomology):
     """Groups in degrees lo..hi (default -1..dim) of the complex whose
-    faces are ``levels`` (see ``face_levels``), from the ranks of
+    faces are ``levels`` (see ``FaceRecord.levels``), from the ranks of
     ∂_lo .. ∂_{hi+1}.
 
-    This is the one routine from faces to groups: ``reduced_homology``
-    and ``reduced_cohomology`` pass a complex's faces, and
-    ``ChainComplex.cohomology`` its levels.  A boundary matrix is
+    This is the one routine from faces to groups: ``reduced_homology``,
+    ``reduced_cohomology`` and ``ChainComplex.cohomology`` pass the
+    levels of a face record.  A boundary matrix is
     built only for a ∂_d with d ≥ 2 and faces on both sides; a ∂_d with
     no source or no target faces has rank 0.
 
@@ -374,13 +312,13 @@ def reduced_homology(complex, coeffs="Z", degree_range=None):
     -1..dim).  Field coefficients yield torsion-free groups whose rank
     is the vector-space dimension.
     """
-    return _reduced_groups(face_levels(complex.faces), coeffs, degree_range,
+    return _reduced_groups(complex.record.levels, coeffs, degree_range,
                            cohomology=False)
 
 
 def reduced_cohomology(complex, coeffs="Z", degree_range=None):
     """Reduced cohomology groups by degree, computed from coboundaries."""
-    return _reduced_groups(face_levels(complex.faces), coeffs, degree_range,
+    return _reduced_groups(complex.record.levels, coeffs, degree_range,
                            cohomology=True)
 
 

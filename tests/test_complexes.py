@@ -31,6 +31,7 @@ from util import (
     brute_neighbourliness,
     fixture_complex,
     random_antichain_complex,
+    record_by_subsets,
     seeded,
 )
 
@@ -144,6 +145,20 @@ def test_skeleton_neighbourliness_lists_no_faces():
     K = full_skeleton(20, 6)
     assert K.support_neighbourliness == 7
     assert "faces" not in K.__dict__ and "f_vector" not in K.__dict__
+    assert "levels" not in K.record.__dict__
+    assert "_listing" not in K.record.__dict__
+
+
+def test_generators_refuse_a_bad_vertex_count_first():
+    """Each generator checks n before it builds a mask, an edge list or
+    an adjacency table, so a huge n is refused at once."""
+    for build in (simplex, boundary_simplex, cycle_complex,
+                  lambda n: single_non_face(n, 1),
+                  lambda n: flag_from_graph(n, [])):
+        with pytest.raises(ValueError, match="vertex count"):
+            build(10**6)
+    with pytest.raises(ValueError, match="vertex count"):
+        full_skeleton(4 * 10**5, 2 * 10**5)
 
 
 def test_restriction_and_delete():
@@ -284,6 +299,10 @@ def test_minimal_non_faces_match_the_subset_oracle():
                for _ in range(80)]
     for K in corpus:
         assert K.minimal_non_faces == tuple(sorted(brute_minimal_non_faces(K)))
+        want = record_by_subsets(K.facets)
+        assert K.faces == want["faces"]
+        assert K.f_vector == want["f_vector"]
+        assert K.cone_apex == (mask_vertices(want["apex"]) or (0,))[0]
 
 
 def test_minimal_non_faces_of_a_skeleton_are_the_next_size_up():

@@ -44,15 +44,14 @@ from momentangle import (
     random_complex,
     vertex_mask,
 )
-from momentangle.complexes import neighbourliness_from_counts
-from momentangle.homology import _restricted_faces
-from momentangle.homology import face_levels
+from momentangle.homology import ChainComplex
 
 from util import (
     fixture_complex,
     gnp_flag,
     hochster_by_restriction,
     random_antichain_complex,
+    record_by_subsets,
     seeded,
 )
 
@@ -154,14 +153,21 @@ def test_scan_matches_the_restrictions(K):
     st.just(n), st.lists(st.integers(0, (1 << n) - 1).map(lambda f: f << 1),
                          max_size=6))))
 def test_faces_read_off_the_facets_are_the_restrictions(drawn):
+    """The record of K's facets cut down to I, as the scan reads it, and
+    the restriction K_I read the faces, face counts, apex and support
+    neighbourliness of the subset oracle, which tests every submask of
+    the support against the cut facets."""
     n, facets = drawn
     K = SimplicialComplex(n, facets)
     for mask in range(0, full_mask(n) + 1, 2):
-        sub = K.restriction(mask)
-        faces, apex = _restricted_faces(sorted(
-            {f & mask for f in K.facets}, key=int.bit_count, reverse=True))
-        counts = [len(level) for level in face_levels(faces)]
-        assert faces == sub.faces
-        assert (apex != 0) == sub.is_cone
-        assert neighbourliness_from_counts(counts) == sub.support_neighbourliness
+        cut = [f & mask for f in K.facets]
+        want = record_by_subsets(cut)
+        chain, sub = ChainComplex(cut), K.restriction(mask)
+        assert chain.apex == want["apex"]
+        assert chain.support_neighbourliness == want["support_neighbourliness"]
+        assert chain.levels == want["levels"]
+        assert sub.faces == want["faces"]
+        assert sub.f_vector == want["f_vector"]
+        assert sub.cone_apex == (mask_vertices(want["apex"]) or (0,))[0]
+        assert sub.support_neighbourliness == want["support_neighbourliness"]
 

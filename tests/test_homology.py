@@ -50,7 +50,7 @@ from util import (
     is_cocycle,
     octahedron_boundary,
     random_antichain_complex,
-    record_by_listing,
+    chain_by_subsets,
     seeded,
 )
 
@@ -156,7 +156,7 @@ def assert_reads_as_listed(masks, skeleton, n=6):
     lists its faces only when ``levels`` is read.  The complex on
     {1..n} with those masks reads the same support neighbourliness."""
     order = sorted(masks, key=int.bit_count, reverse=True)
-    want = record_by_listing(masks)
+    want = chain_by_subsets(masks)
     assert full_skeleton_size(order, want["support"]) == skeleton, masks
     chain = ChainComplex(masks)
     got = {"support": chain.support, "apex": chain.apex, "dim": chain.dim,
@@ -168,6 +168,7 @@ def assert_reads_as_listed(masks, skeleton, n=6):
     neighbourliness = K.support_neighbourliness
     if skeleton is not None:
         assert "faces" not in K.__dict__ and "f_vector" not in K.__dict__
+        assert "_listing" not in K.record.__dict__
     assert neighbourliness == brute_neighbourliness(K, K.support), masks
     assert chain.connectivity == connectivity_certificate(K)[0], masks
     assert ("levels" in chain.__dict__) == (skeleton is None), masks

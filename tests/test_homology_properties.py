@@ -23,12 +23,13 @@ from momentangle import (
     reduced_cohomology,
     reduced_homology,
 )
-from momentangle.homology import DEFAULT_BATTERY, face_levels
+from momentangle.homology import DEFAULT_BATTERY
 
 from util import (
     fixture_complex,
     octahedron_boundary,
     random_antichain_complex,
+    record_by_subsets,
     reduced_groups_by_matrices,
     seeded,
 )
@@ -66,7 +67,7 @@ def scattered_complexes(draw):
 
 
 def assert_matches_matrices(K):
-    levels = face_levels(K.faces)
+    levels = record_by_subsets(K.facets)["levels"]
     for coeffs in DEFAULT_BATTERY:
         for window in (None, (-1, K.dim), (0, K.dim), (1, K.dim)):
             for routine, cohomology in ((reduced_homology, False),

@@ -6,6 +6,10 @@ matrix through its constructors and reads it.  These tests parse the
 package's modules and fail on a write to either dict outside
 ``linalg``, or on a name bound to one of them (an alias to write
 through).
+
+Faces are listed in one place, ``complexes.FaceRecord``: the guard below
+fails on any use of ``iter_submasks`` or ``full_skeleton_size`` outside
+that class.
 """
 
 import ast
@@ -83,3 +87,49 @@ x = m.rows[r][c]
 m.rows.get(r, {})
 """
     assert storage_writes(ast.parse(source)) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+# a second face walk outside the record would be a second copy of its
+# listing
+RECORD = "FaceRecord"
+FACE_WALKS = {"iter_submasks", "full_skeleton_size"}
+
+
+def face_walks(tree, record=RECORD):
+    """Line numbers of every use (a call, or a name bound to it) of
+    ``iter_submasks`` or ``full_skeleton_size`` outside the class
+    ``record``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == record:
+            inside.update(map(id, ast.walk(node)))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside and (
+                       isinstance(node, ast.Name) and node.id in FACE_WALKS
+                       or isinstance(node, ast.Attribute)
+                       and node.attr in FACE_WALKS)})
+
+
+def test_only_the_record_walks_faces():
+    trees = {path.stem: ast.parse(path.read_text("utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # the guard sees the record's own walks
+    assert face_walks(trees["complexes"], record=None)
+    walks = {stem: face_walks(tree) for stem, tree in trees.items()}
+    assert {stem: lines for stem, lines in walks.items() if lines} == {}
+
+
+def test_the_guard_sees_every_face_walk():
+    source = """
+class FaceRecord:
+    def listing(self):
+        return iter_submasks(self.support)
+faces = set(iter_submasks(mask))
+k = complexes.full_skeleton_size(order, support)
+walk = iter_submasks
+counts = list(map(full_skeleton_size, orders, supports))
+def iter_submasks(mask):
+    return mask
+"""
+    assert face_walks(ast.parse(source)) == [5, 6, 7, 8]
+    assert face_walks(ast.parse(source), record=None) == [4, 5, 6, 7, 8]

@@ -6,7 +6,7 @@ import pathlib
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from momentangle import (
     HochsterSummand,
@@ -21,16 +21,14 @@ from momentangle import (
     split_center,
     vertex_mask,
 )
-from momentangle.complexes import neighbourliness_from_counts
+from momentangle.complexes import iter_submasks
 from momentangle.golod import TheoremVerdict, iota_pair, pair_certificates
 from momentangle.hochster import wedge_model
 from momentangle.homology import (
     DEFAULT_BATTERY,
     HomologyGroup,
     _boundary_matrix,
-    _restricted_faces,
     connectivity_certificate,
-    face_levels,
     homology_degree_window,
     parse_coefficients,
 )
@@ -123,6 +121,35 @@ def brute_neighbourliness(K, mask):
             if not K.is_face(vertex_mask(combo)):
                 return size - 1
     return len(verts)
+
+
+def levels_of(faces):
+    """A face set by size: entry k lists the faces with k vertices in
+    increasing mask order, up to the largest face, as
+    ``FaceRecord.levels`` lists them."""
+    top = max(map(int.bit_count, faces))
+    return [sorted(f for f in faces if f.bit_count() == k)
+            for k in range(top + 1)]
+
+
+def record_by_subsets(masks):
+    """What a ``FaceRecord`` of ``masks`` reads, by brute force: every
+    submask of the support, tested against the raw masks, is a face or
+    not.  The apex is the vertices v with σ ∪ v a face for every face σ,
+    and the support neighbourliness the largest k with every k-subset of
+    the support a face.  No masks at all make {∅}."""
+    masks = list(masks) or [0]
+    support = reduce(or_, masks)
+    faces = {sigma for sigma in range(support + 1)
+             if sigma & ~support == 0 and any(sigma & ~f == 0 for f in masks)}
+    bits = [1 << v for v in mask_vertices(support)]
+    apex = sum(bit for bit in bits if all(f | bit in faces for f in faces))
+    m = next(k for k in range(len(bits), -1, -1)
+             if all(sum(c) in faces for c in itertools.combinations(bits, k)))
+    levels = levels_of(faces)
+    return {"support": support, "apex": apex, "dim": len(levels) - 2,
+            "support_neighbourliness": m, "faces": faces,
+            "f_vector": tuple(map(len, levels)), "levels": levels}
 
 
 def removable_vertex(mask, support, neighbourhoods):
@@ -376,41 +403,38 @@ def fraction_gauge_radius(low_mask, high_mask, offset):
 def record_by_restriction(complex, mask):
     """What the pair engine reads of K_I, I = ``mask``, by building the
     restriction: ``complex.restriction(mask)`` prunes the cut facets to an
-    antichain, and its apex set (the meet of its facets), dimension,
-    support, support neighbourliness and face levels are its own.  The
-    integral groups are its ``reduced_cohomology`` over
-    ``homology_degree_window``, and the connectivity is
+    antichain, its apex set is the meet of its facets, and its dimension
+    and support are its own.  Its support neighbourliness and face levels
+    test subsets against its facets (``brute_neighbourliness``, and every
+    submask of I).  The integral groups are its ``reduced_cohomology``
+    over ``homology_degree_window``, and the connectivity is
     ``connectivity_certificate``, from homology."""
     sub = complex.restriction(mask)
-    apex = sub.facets[0]
-    for f in sub.facets:
-        apex &= f
+    apex = reduce(and_, sub.facets)
+    faces = {sigma for sigma in iter_submasks(mask) if sub.is_face(sigma)}
     return {"restriction": sub, "apex": apex, "dim": sub.dim,
             "support": sub.support,
-            "support_neighbourliness": sub.support_neighbourliness,
-            "levels": face_levels(sub.faces),
+            "support_neighbourliness": brute_neighbourliness(sub, sub.support),
+            "levels": levels_of(faces),
             "integral_groups": reduced_cohomology(
                 sub, "Z", homology_degree_window(sub)),
             "connectivity": connectivity_certificate(sub)[0]}
 
 
-def record_by_listing(masks):
-    """What ``ChainComplex(masks)`` reads, each reading off its listed
-    faces: the faces and apex of ``_restricted_faces``, the dimension and
-    support neighbourliness off the face levels, and the groups over each
-    battery coefficient system over ``homology_degree_window`` from every
-    boundary matrix (``reduced_groups_by_matrices``)."""
-    order = sorted(masks, key=int.bit_count, reverse=True)
-    faces, apex = _restricted_faces(order)
-    levels = face_levels(faces)
-    m = neighbourliness_from_counts([len(level) for level in levels])
-    window = (max(m - 1, -1), len(levels) - 2)
-    return {"support": reduce(or_, order), "apex": apex,
-            "dim": len(levels) - 2, "support_neighbourliness": m,
-            "cohomology": {coeffs: reduced_groups_by_matrices(
-                levels, coeffs, window, cohomology=True)
-                for coeffs in DEFAULT_BATTERY},
-            "levels": levels}
+def chain_by_subsets(masks):
+    """What ``ChainComplex(masks)`` reads, by brute force: the faces,
+    apex, dimension and support neighbourliness of ``record_by_subsets``,
+    and the groups over each battery coefficient system over
+    ``homology_degree_window`` from every boundary matrix
+    (``reduced_groups_by_matrices``)."""
+    want = record_by_subsets(masks)
+    levels, m = want["levels"], want["support_neighbourliness"]
+    window = (max(m - 1, -1), want["dim"])
+    return {key: want[key] for key in
+            ("support", "apex", "dim", "support_neighbourliness", "levels")} | {
+        "cohomology": {coeffs: reduced_groups_by_matrices(
+            levels, coeffs, window, cohomology=True)
+            for coeffs in DEFAULT_BATTERY}}
 
 
 def cross_product_matrix_by_cochains(pair_map, d):
